@@ -144,10 +144,8 @@ def main(argv: list[str] | None = None) -> int:
         values["mode"] = args.command
         cfg = ExperimentConfig(**values)
         return RUNNERS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except FileNotFoundError as exc:
+    except (ConfigError, OSError) as exc:
+        # an unreadable config or out dir is a setup problem, not a failed check
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

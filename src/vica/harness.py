@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import platform
 import time
@@ -109,9 +110,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown preset {self.preset!r}; expected one of {sorted(MODEL_PRESETS)}"
             )
-        for f_name in ("n_vision", "t_system", "seed", "batch", "reps", "warmup"):
+        for f_name in ("n_vision", "t_system", "seed", "reps", "warmup"):
             if getattr(self, f_name) < 0:
                 raise ConfigError(f"{f_name} must be non-negative")
+        if self.batch < 1:
+            raise ConfigError("batch must be at least 1")
         if self.t_question < 1:
             raise ConfigError("t_question must be at least 1")
         bad = [p for p in self.paths if p not in WRITE_PATH_KINDS]
@@ -617,8 +620,22 @@ def _grid_schedule(name: str, n_layers: int) -> PolicySchedule:
     return PolicySchedule.sparse_cross(n_layers, retained)
 
 
+def _deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b|, or inf if either side has a non-finite entry.
+
+    A NaN compares false against any tolerance, so it would slip through a
+    ``dev > tol`` check; inf fails every tolerance check.
+    """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return math.inf
+    return float(np.abs(a - b).max())
+
+
 def run_equivalence_cases(cfg: ExperimentConfig):
     """Yield (case_dict, max_abs_deviation) over the seeded grid.
+
+    The deviation is inf when any of the engine, oracle or fast logits is
+    non-finite.
 
     Cases are independent and could be dispatched concurrently; results
     are consumed by a single collector either way.
@@ -650,7 +667,7 @@ def run_equivalence_cases(cfg: ExperimentConfig):
                             oracle = forward_baseline_masked_oracle(
                                 weights, ve, te, schedule_to_disabled_paths(sched)
                             ).logits
-                            dev = float(np.abs(engine - oracle).max())
+                            dev = _deviation(engine, oracle)
                             if sched_name != "baseline":
                                 kv = precompute_visual_kv(weights, ve, sched)
                                 fast = forward_vica_fast(weights, kv, te, sched).logits
@@ -660,8 +677,8 @@ def run_equivalence_cases(cfg: ExperimentConfig):
                                     fast[-1, 0] += 1e-6
                                 dev = max(
                                     dev,
-                                    float(np.abs(fast - engine).max()),
-                                    float(np.abs(fast - oracle).max()),
+                                    _deviation(fast, engine),
+                                    _deviation(fast, oracle),
                                 )
                             yield (
                                 {
@@ -677,9 +694,10 @@ def run_equivalence(cfg: ExperimentConfig) -> int:
     worst_case, worst_dev, n_cases, failures = None, -1.0, 0, []
     for case, dev in run_equivalence_cases(cfg):
         n_cases += 1
-        if dev > worst_dev:
+        # written as not (dev <= x) so that a NaN deviation counts as worst and fails
+        if not (dev <= worst_dev):
             worst_case, worst_dev = case, dev
-        if dev > EQUIV_TOL:
+        if not (dev <= EQUIV_TOL):
             failures.append({"case": case, "deviation": dev})
     passed = not failures
     dump_json(

@@ -4,6 +4,16 @@ Everything here operates on plain 2-D numpy arrays (row-major, float64 by
 default; float32 is accepted for benchmark runs). Masked softmax uses
 exclusion-from-reduction semantics, so masked positions come out as exact
 zeros rather than tiny exponentials.
+
+The softmax and SiLU kernels spend their time on arithmetic, not on
+temporaries. :func:`row_softmax` works a block of rows at a time in one
+small buffer, masks it in place and stops each block at its last permitted
+key column, so the causally masked half of a square score matrix is neither
+copied nor exponentiated. It does not shrink the products around it: the
+attention callers still form the full ``q x kv`` score matrix and value mix
+with :func:`matmul`, because those square products are what the cost model
+charges the dense baseline and what the MAC counter checks it against.
+:func:`silu` works in place on fixed-size chunks.
 """
 
 from __future__ import annotations
@@ -18,6 +28,14 @@ logger = logging.getLogger(__name__)
 
 # RMS normalization epsilon. Fixed, not configurable.
 RMS_EPS = 1e-6
+
+# Least rows per block in row_softmax: the rows split evenly into
+# rows // _ROW_BLOCK blocks, so there is no short tail block whose call
+# overhead outweighs the columns it skips. Fixed, not configurable.
+_ROW_BLOCK = 64
+
+# Elements per chunk in silu (256 KiB of float64). Fixed, not configurable.
+_SILU_CHUNK = 32768
 
 
 class ShapeError(ValueError):
@@ -90,34 +108,67 @@ def row_softmax(
     excluded from the max/sum reductions entirely and come back as exact 0.0.
     A row with no permitted entries yields an all-zero row; its index is
     appended to ``empty_rows`` when a list is supplied, and logged otherwise.
+
+    The result is a zero-filled buffer written a block of rows at a time
+    (``_ROW_BLOCK`` to ``2 * _ROW_BLOCK - 1`` rows, or all of them when
+    there are fewer). A block covers only the key columns up to its last
+    permitted one; the columns past it stay exact zeros and are never
+    exponentiated. For each block, ``scale * scores`` goes into one work
+    buffer, the masked entries are set to ``-inf`` in place, the max shift
+    and ``exp`` run in place, and the row normalization writes the block of
+    the result. ``scores`` and ``allowed`` are never written. Only the
+    softmax skips masked tiles: ``scores`` is still the full square product
+    the cost model charges the dense baseline, and the value mix consumes
+    the full result, zeros included.
     """
     scores = np.asarray(scores)
     if scores.ndim != 2:
         raise ShapeError(f"row_softmax needs a 2-D score matrix, got {scores.shape}")
-    if allowed is None:
-        allowed = np.ones(scores.shape, dtype=bool)
-    else:
+    if allowed is not None:
         allowed = np.asarray(allowed, dtype=bool)
         if allowed.shape != scores.shape:
             raise ShapeError(
                 f"mask shape {allowed.shape} does not match scores {scores.shape}"
             )
 
-    shifted = np.where(allowed, scores * scale, -np.inf)
-    empty = ~allowed.any(axis=1)
-    row_max = np.max(np.where(allowed, shifted, -np.inf), axis=1, initial=-np.inf)
-    row_max = np.where(empty, 0.0, row_max)  # keep -inf - -inf = nan out of empty rows
-    weights = np.exp(shifted - row_max[:, None])  # masked entries: exp(-inf) == 0.0
-    denom = weights.sum(axis=1)
-    denom = np.where(empty, 1.0, denom)
-    probs = weights / denom[:, None]
-    if empty.any():
-        probs[empty] = 0.0
-        idx = np.flatnonzero(empty)
+    rows, cols = scores.shape
+    dtype = np.result_type(scores, scale, -np.inf)
+    probs = np.zeros(scores.shape, dtype=dtype)
+    empty: list[int] = []
+    n_blocks = max(1, rows // _ROW_BLOCK)
+    if cols == 0:  # no keys at all: every row is empty
+        empty, n_blocks = list(range(rows)), 0
+    for b in range(n_blocks):
+        r0, r1 = b * rows // n_blocks, (b + 1) * rows // n_blocks
+        lim = cols
+        if allowed is not None:
+            seen = allowed[r0:r1].any(axis=0)
+            lim = cols - int(np.argmax(seen[::-1]))
+            if not seen[lim - 1]:  # no permitted entry in the whole block
+                empty.extend(range(r0, r1))
+                continue
+        # contiguous work buffer: ufuncs over a short-row strided view are slower
+        block = np.multiply(scores[r0:r1, :lim], scale, dtype=dtype)
+        if allowed is not None:
+            np.copyto(block, -np.inf, where=~allowed[r0:r1, :lim])
+        row_max = block.max(axis=1, keepdims=True)
+        dead = None
+        if allowed is not None and row_max.min() == -np.inf:
+            # rows without a permitted entry: keep -inf - -inf = nan out of them
+            dead = ~allowed[r0:r1, :lim].any(axis=1)
+            row_max[dead] = 0.0
+            empty.extend(r0 + int(i) for i in np.flatnonzero(dead))
+        block -= row_max
+        np.exp(block, out=block)  # masked entries: exp(-inf) == 0.0
+        denom = block.sum(axis=1, keepdims=True)
+        if dead is not None:
+            denom[dead] = 1.0
+        np.divide(block, denom, out=probs[r0:r1, :lim])
+    if empty:
         if empty_rows is not None:
-            empty_rows.extend(int(i) for i in idx)
+            empty_rows.extend(empty)
         else:
-            logger.debug("row_softmax: all-masked rows %s", idx.tolist())
+            logger.debug("row_softmax: all-masked rows %s", empty)
     return probs
 
 
@@ -134,14 +185,28 @@ def rms_norm(h: np.ndarray, gain: np.ndarray) -> np.ndarray:
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    """x * sigmoid(x), evaluated without overflow for large |x|."""
+    """x * sigmoid(x), evaluated without overflow for large |x|.
+
+    With ``e = exp(-|x|)`` in (0, 1], sigmoid(x) is ``1 / (1 + e)`` for
+    x >= 0 and ``e / (1 + e)`` below, so nothing overflows and no difference
+    of nearly equal numbers is formed: the result keeps full relative
+    precision in both tails (``x * (1 + tanh(x / 2)) / 2`` does not: for
+    negative x the sum ``1 + tanh`` cancels). It is computed in place,
+    ``_SILU_CHUNK`` elements at a time, so the temporaries stay small.
+    """
     x = np.asarray(x)
-    out = np.empty_like(x, dtype=x.dtype)
-    pos = x >= 0
-    out[pos] = x[pos] / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = x[~pos] * ex / (1.0 + ex)
-    return out
+    flat = x.reshape(-1)
+    out = np.empty(flat.shape, dtype=np.result_type(x, 1.0))
+    for i in range(0, flat.size, _SILU_CHUNK):
+        xc, yc = flat[i : i + _SILU_CHUNK], out[i : i + _SILU_CHUNK]
+        np.abs(xc, out=yc)
+        np.negative(yc, out=yc)
+        np.exp(yc, out=yc)                # e = exp(-|x|)
+        numer = np.maximum(yc, xc >= 0)   # 1 where x >= 0, e below
+        yc += 1.0
+        np.divide(numer, yc, out=yc)      # sigmoid(x)
+        yc *= xc
+    return out.reshape(x.shape)
 
 
 def gated_ffn(

@@ -65,7 +65,7 @@ def test_criterion_2_three_way_equivalence():
     worst, worst_case, cases = -1.0, None, 0
     for case, dev in run_equivalence_cases(ExperimentConfig(mode="equivalence", seed=0)):
         cases += 1
-        if dev > worst:
+        if not (dev <= worst):  # NaN-strict: a NaN deviation becomes the worst
             worst, worst_case = dev, case
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 60.0

@@ -1,9 +1,12 @@
 """Config grammar, CLI exit codes, artifact reproducibility, golden checks."""
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import vica.harness as harness
 from vica.cli import main
 from vica.harness import (
     EXIT_CONFIG_ERROR,
@@ -15,6 +18,7 @@ from vica.harness import (
     parse_config,
     run_bench,
     run_diagnose,
+    run_equivalence,
 )
 from vica.model import ConfigError, PolicyMode
 
@@ -75,6 +79,10 @@ class TestExperimentConfig:
             ExperimentConfig(seed=-1)
         with pytest.raises(ConfigError):
             ExperimentConfig(paths=("t2v_read", "bogus"))
+
+    def test_zero_batch_rejected(self):
+        with pytest.raises(ConfigError, match="batch"):
+            ExperimentConfig(mode="diagnose", batch=0)
 
     def test_partial_geometry_rejected(self):
         cfg = ExperimentConfig(mode="cost", n_layers=4)
@@ -249,6 +257,32 @@ class TestCliEquivalence:
         assert case["schedule"] != "baseline"
         assert "FAIL" in capsys.readouterr().out
 
+    def test_nan_deviation_fails(self, tmp_path, monkeypatch):
+        cases = [({"schedule": "baseline"}, 0.0), ({"schedule": "sparse"}, float("nan"))]
+        monkeypatch.setattr(harness, "run_equivalence_cases", lambda cfg: iter(cases))
+        cfg = ExperimentConfig(mode="equivalence", out_dir=str(tmp_path))
+        assert run_equivalence(cfg) == EXIT_VERIFY_FAILED
+
+    def test_nan_fast_logits_fail(self, tmp_path, monkeypatch):
+        real = harness.forward_vica_fast
+
+        def nan_fast(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return replace(result, logits=np.full_like(result.logits, np.nan))
+
+        small = dict(
+            harness.EQUIV_GRID, n=(0, 3), t=(1, 2), d=(8,), heads=(2,), layers=(2,)
+        )
+        monkeypatch.setattr(harness, "EQUIV_GRID", small)
+        monkeypatch.setattr(harness, "forward_vica_fast", nan_fast)
+        cfg = ExperimentConfig(mode="equivalence", out_dir=str(tmp_path))
+        assert run_equivalence(cfg) == EXIT_VERIFY_FAILED
+        report = json.loads((tmp_path / "equivalence.json").read_text())
+        assert report["pass"] is False
+        assert {f["case"]["schedule"] for f in report["failures"]} == {
+            "freeze", "sparse", "textonly",
+        }
+
 
 class TestCliBench:
     SMOKE = [
@@ -323,4 +357,12 @@ class TestCliPlumbing:
 
     def test_missing_config_file(self, tmp_path):
         code = main(["cost", "--config", str(tmp_path / "nope.cfg")])
+        assert code == EXIT_CONFIG_ERROR
+
+    def test_config_path_is_directory(self, tmp_path):
+        code = main(["cost", "--config", str(tmp_path)])
+        assert code == EXIT_CONFIG_ERROR
+
+    def test_diagnose_zero_batch(self, tmp_path):
+        code = main(["diagnose", "--batch", "0", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG_ERROR

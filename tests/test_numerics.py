@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vica import numerics
+from vica.attention import TokenLayout, bottom_right_mask, build_cross_mask
 from vica.numerics import (
     MacCounter,
     ShapeError,
@@ -46,6 +47,46 @@ def softmax_oracle(scores, allowed, scale):
         for j, e in zip(cols, exps):
             out[i, j] = e / total
     return out
+
+
+def softmax_where_reference(scores, allowed, scale):
+    """Full-matrix np.where form of the masked softmax; returns (probs, empty rows)."""
+    shifted = np.where(allowed, scores * scale, -np.inf)
+    empty = ~allowed.any(axis=1)
+    row_max = np.max(np.where(allowed, shifted, -np.inf), axis=1, initial=-np.inf)
+    row_max = np.where(empty, 0.0, row_max)
+    weights = np.exp(shifted - row_max[:, None])
+    denom = np.where(empty, 1.0, weights.sum(axis=1))
+    probs = weights / denom[:, None]
+    probs[empty] = 0.0
+    return probs, np.flatnonzero(empty).tolist()
+
+
+def _softmax_masks():
+    """Masks the engine produces, plus empty rows and masked trailing columns."""
+    layout = TokenLayout(200, 7, 12)  # 219 rows: three row blocks
+    total = layout.total
+    causal = bottom_right_mask(total, total)
+    t2v_off = causal.copy()
+    t2v_off[layout.n_vision :, : layout.n_vision] = False
+    empty_row = causal.copy()
+    empty_row[70] = False
+    empty_block = causal.copy()
+    empty_block[64:160] = False  # covers the middle block, cuts into the others
+    trailing = causal.copy()
+    trailing[:, 150:] = False
+    return {
+        "causal_631": bottom_right_mask(631, 631),
+        "causal_219": causal,
+        "cross_55x631": bottom_right_mask(55, 631),
+        "t2v_read_off": t2v_off,
+        "system_blind": build_cross_mask(layout, system_reads_vision=False).allowed,
+        "empty_row": empty_row,
+        "empty_row_block": empty_block,
+        "trailing_cols_masked": trailing,
+        "one_row": bottom_right_mask(1, 631),
+        "one_row_trailing_masked": bottom_right_mask(1, 631) & (np.arange(631) < 300),
+    }
 
 
 def ffn_oracle(h, w_gate, w_up, w_down):
@@ -165,6 +206,56 @@ class TestRowSoftmax:
         np.testing.assert_allclose(out[0], expected, atol=1e-15)
 
 
+class TestRowSoftmaxBlocks:
+    """The blocked in-place kernel against the full-matrix np.where form."""
+
+    MASKS = _softmax_masks()
+
+    @pytest.mark.parametrize("name", sorted(MASKS))
+    def test_matches_where_reference(self, name):
+        allowed = self.MASKS[name]
+        rng = np.random.default_rng(len(name))
+        scores = rng.standard_normal(allowed.shape) * 4
+        scores_before, allowed_before = scores.copy(), allowed.copy()
+        flagged: list[int] = []
+        out = row_softmax(scores, allowed, 1 / math.sqrt(8), empty_rows=flagged)
+        expected, empty = softmax_where_reference(scores, allowed, 1 / math.sqrt(8))
+        assert out.shape == scores.shape and out.dtype == np.float64
+        assert np.abs(out - expected).max() <= 1e-15
+        assert np.all(out[~allowed] == 0.0)
+        assert flagged == empty
+        assert np.all(out[empty] == 0.0)
+        assert np.array_equal(scores, scores_before)
+        assert np.array_equal(allowed, allowed_before)
+
+    def test_engine_masks_cover_the_cases(self):
+        assert self.MASKS["causal_219"].shape[0] // numerics._ROW_BLOCK == 3
+        assert not self.MASKS["system_blind"][:7, :200].any()
+        assert self.MASKS["system_blind"][7:, :200].all()
+        assert not self.MASKS["t2v_read_off"][200:, :200].any()
+        assert not self.MASKS["trailing_cols_masked"][:, 150:].any()
+
+    def test_unmasked_spans_several_blocks(self):
+        scores = np.random.default_rng(9).standard_normal((200, 130)) * 4
+        expected, _ = softmax_where_reference(scores, np.ones(scores.shape, bool), 0.7)
+        assert np.abs(row_softmax(scores, scale=0.7) - expected).max() <= 1e-15
+
+    def test_float32_in_float32_out(self):
+        allowed = self.MASKS["causal_219"]
+        rng = np.random.default_rng(10)
+        scores = rng.standard_normal(allowed.shape).astype(np.float32)
+        out = row_softmax(scores, allowed, 0.5)
+        assert out.dtype == np.float32
+        expected, _ = softmax_where_reference(scores.astype(float), allowed, 0.5)
+        np.testing.assert_allclose(out, expected, rtol=1e-5, atol=1e-6)
+        assert np.all(out[~allowed] == 0.0)
+
+    def test_no_columns_every_row_empty(self):
+        flagged: list[int] = []
+        out = row_softmax(np.zeros((3, 0)), empty_rows=flagged)
+        assert out.shape == (3, 0) and flagged == [0, 1, 2]
+
+
 class TestRmsNorm:
     def test_zero_rows_stay_zero(self):
         out = rms_norm(np.zeros((3, 4)), np.ones(4))
@@ -220,6 +311,25 @@ class TestGatedFfn:
         assert out[0] == 0.0
         assert out[1] == 0.0
         assert out[2] == 1000.0
+
+    def test_silu_matches_logistic_form_to_full_precision(self):
+        x = np.linspace(-1000.0, 1000.0, 40001)
+        with np.errstate(over="ignore"):
+            expected = x / (1.0 + np.exp(-x))
+        with np.errstate(over="raise", invalid="raise"):
+            out = silu(x)
+        # below x = -709.78 the reference's exp(-x) overflows and it returns
+        # -0.0 where the true value is a subnormal smaller than 1e-305 in size
+        np.testing.assert_allclose(out, expected, rtol=1e-14, atol=1e-300)
+
+    def test_silu_float32_in_float32_out(self):
+        x = np.linspace(-100.0, 100.0, 2001).astype(np.float32)
+        with np.errstate(over="raise", invalid="raise"):
+            out = silu(x.reshape(1, -1, 1))
+        assert out.dtype == np.float32 and out.shape == (1, 2001, 1)
+        np.testing.assert_allclose(
+            out.ravel(), silu(x.astype(np.float64)), rtol=1e-6, atol=1e-30
+        )
 
     def test_against_loop_oracle(self):
         rng = np.random.default_rng(6)
