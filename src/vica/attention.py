@@ -7,10 +7,11 @@ what lets the text rows be computed against a rectangular key set: row ``i``
 of a length-``q`` query block over ``kv`` keys may attend to key ``j`` iff
 ``j <= i + (kv - q)``, the bottom-right alignment of the causal diagonal.
 
-Two evaluation paths are provided. :func:`masked_attention_oracle` builds the
-boolean mask explicitly and is the reference for everything else.
-:func:`asymmetric_cross_attention` never materializes a mask at all; it walks
-query rows and slices the key prefix each row is permitted to see.
+Two evaluation paths are provided. :func:`masked_attention_oracle` takes an
+explicit boolean :class:`FlowMask` and is the reference for everything else.
+:func:`asymmetric_cross_attention` is the text-query kernel of the engine and
+the fast path: it builds no :class:`FlowMask` and applies the bottom-right
+rule (plus optional vision-blind rows) to each head's score block in place.
 """
 
 from __future__ import annotations
@@ -189,13 +190,18 @@ def asymmetric_cross_attention(
     k_all: np.ndarray,
     v_all: np.ndarray,
     n_heads: int,
+    n_blind: int = 0,
 ) -> np.ndarray:
-    """Bottom-right causal attention without materializing any mask.
+    """Text queries over [vision keys; text keys] under the bottom-right rule.
 
-    Query row ``i`` may see exactly the key prefix ``k_all[: offset + i + 1]``
-    where ``offset = kv_len - q_len``, so each row is evaluated against its
-    prefix slice and nothing is ever masked out. Matches
-    :func:`masked_attention_oracle` under :func:`bottom_right_mask`.
+    With ``t`` queries and ``kv_len`` keys, the first ``n = kv_len - t`` keys
+    are the vision prefix. Query row ``i`` sees every vision key and the text
+    keys ``0..i``; the first ``n_blind`` rows are also blind to the vision
+    keys (system-prompt rows under eager masking). Per head, one score
+    product is masked in place with ``-inf``, softmaxed in place and mixed
+    with the values. Matches :func:`masked_attention_oracle` under
+    :func:`build_cross_mask`. Credits the causal MAC count
+    ``2 * d * (t * n + t * (t + 1) / 2)``, independent of ``n_blind``.
     """
     q_text = np.asarray(q_text)
     k_all = np.asarray(k_all)
@@ -208,20 +214,26 @@ def asymmetric_cross_attention(
         raise ShapeError(f"k {k_all.shape}, v {v_all.shape} inconsistent with q width {d}")
     if d % n_heads != 0:
         raise ShapeError(f"width {d} not divisible by {n_heads} heads")
-    d_head = d // n_heads
-    scale = 1.0 / math.sqrt(d_head)
-    offset = kv_len - t
+    if not 0 <= n_blind <= t:
+        raise ShapeError(f"n_blind {n_blind} outside 0..{t}")
+    n = kv_len - t
+    scale = 1.0 / math.sqrt(d // n_heads)
+    future = ~np.tri(t, dtype=bool)  # text key j > query row i
 
     out = np.empty_like(q_text)
-    for i in range(t):
-        limit = offset + i + 1
-        q_row = q_text[i].reshape(n_heads, d_head)            # (H, dh)
-        k_pre = k_all[:limit].reshape(limit, n_heads, d_head)  # (L, H, dh)
-        v_pre = v_all[:limit].reshape(limit, n_heads, d_head)
-        scores = np.einsum("hd,lhd->hl", q_row, k_pre) * scale
+    for q_h, k_h, v_h, o_h in zip(
+        split_heads(q_text, n_heads),
+        split_heads(k_all, n_heads),
+        split_heads(v_all, n_heads),
+        split_heads(out, n_heads),
+    ):
+        scores = q_h @ k_h.T
+        scores *= scale
+        np.copyto(scores[:, n:], -np.inf, where=future)
+        scores[:n_blind, :n] = -np.inf
         scores -= scores.max(axis=1, keepdims=True)
-        weights = np.exp(scores)
-        weights /= weights.sum(axis=1, keepdims=True)
-        out[i] = np.einsum("hl,lhd->hd", weights, v_pre).reshape(d)
-        add_macs(2 * limit * d)  # score row + value mix, summed over heads
+        np.exp(scores, out=scores)  # masked entries: exp(-inf) == 0.0
+        scores /= scores.sum(axis=1, keepdims=True)
+        o_h[:] = scores @ v_h
+    add_macs(2 * d * (t * n + t * (t + 1) // 2))
     return out

@@ -2,17 +2,20 @@
 
 Subcommands map onto the harness runners; flags override config-file
 values, which override per-mode defaults. Exit codes: 0 pass, 1
-verification failure, 2 configuration error.
+verification failure, 2 configuration error, 3 internal error (an
+unexpected exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from .harness import (
     EXIT_CONFIG_ERROR,
+    EXIT_INTERNAL_ERROR,
     ExperimentConfig,
     parse_config,
     run_bench,
@@ -148,6 +151,10 @@ def main(argv: list[str] | None = None) -> int:
         # an unreadable config or out dir is a setup problem, not a failed check
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except Exception:
+        # a crash is neither a failed check nor a bad config
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -51,6 +51,7 @@ from .model import (
     forward_baseline_masked_oracle,
     forward_vica_fast,
     init_model,
+    parse_schedule,
     pdrop_baseline_events,
     precompute_visual_kv,
     schedule_preset,
@@ -68,6 +69,7 @@ MAX_LIVE_LAYERS = 64
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 @dataclass
@@ -141,32 +143,7 @@ class ExperimentConfig:
         )
 
     def policy_schedule(self, n_layers: int) -> PolicySchedule:
-        name = self.schedule or "baseline"
-        if name == "baseline":
-            return PolicySchedule.baseline(n_layers)
-        if name == "baseline+pdrop":
-            return PolicySchedule.baseline(n_layers).with_drops(
-                pdrop_baseline_events(n_layers)
-            )
-        if name in ("freeze", "freezevis"):
-            return PolicySchedule.freeze_vis(n_layers)
-        if name == "textonly":
-            return PolicySchedule.text_only(n_layers)
-        if name.startswith("sparse:"):
-            spec = name.removeprefix("sparse:")
-            try:
-                retained = {int(x) for x in spec.split(",")}
-            except ValueError:
-                raise ConfigError(
-                    f"bad schedule {name!r}; expected sparse:<layer>,<layer>,..."
-                ) from None
-            return PolicySchedule.sparse_cross(n_layers, retained)
-        sched = schedule_preset(name)
-        if sched.n_layers != n_layers:
-            raise ConfigError(
-                f"schedule {name!r} spans {sched.n_layers} layers, model has {n_layers}"
-            )
-        return sched
+        return parse_schedule(self.schedule or "baseline", n_layers)
 
     def cost_inputs(self, schedule: PolicySchedule, mc: ModelConfig) -> CostInputs:
         return CostInputs(
@@ -609,17 +586,6 @@ EQUIV_GRID = {
 EQUIV_TOL = 1e-10
 
 
-def _grid_schedule(name: str, n_layers: int) -> PolicySchedule:
-    if name == "baseline":
-        return PolicySchedule.baseline(n_layers)
-    if name == "freeze":
-        return PolicySchedule.freeze_vis(n_layers)
-    if name == "textonly":
-        return PolicySchedule.text_only(n_layers)
-    retained = {0} if n_layers == 1 else {0, n_layers // 2}
-    return PolicySchedule.sparse_cross(n_layers, retained)
-
-
 def _deviation(a: np.ndarray, b: np.ndarray) -> float:
     """max |a - b|, or inf if either side has a non-finite entry.
 
@@ -662,7 +628,11 @@ def run_equivalence_cases(cfg: ExperimentConfig):
                             idx += 1
                             ve = rng.standard_normal((n, d))
                             te = rng.standard_normal((t, d))
-                            sched = _grid_schedule(sched_name, layers)
+                            sched = parse_schedule(
+                                f"sparse:0,{layers // 2}" if sched_name == "sparse"
+                                else sched_name,
+                                layers,
+                            )
                             engine = forward(weights, ve, te, sched).logits
                             oracle = forward_baseline_masked_oracle(
                                 weights, ve, te, schedule_to_disabled_paths(sched)

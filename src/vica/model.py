@@ -13,23 +13,25 @@ layer carries a policy mode:
 * ``TEXT_ONLY``:  vision is neither written nor read; the layer is a plain
                   causal text block and does not project vision KV at all.
 
-Because frozen vision rows never change, their per-layer keys/values depend
-only on the input vision embeddings and the layer weights. That is what
-:func:`precompute_visual_kv` exploits, and :func:`forward_vica_fast` consumes:
-a text-only pipeline that attends into precomputed vision KV without ever
-materializing vision rows in its hidden state.
+Every non-``BASELINE`` layer is one text layer: the text rows go through
+attention and the FFN, reading the layer's frozen vision keys/values (if the
+mode offers them) through :func:`~vica.attention.asymmetric_cross_attention`.
+Because frozen vision rows never change, those keys/values depend only on
+the input vision embeddings and the layer weights. :func:`forward` projects
+them layer by layer; :func:`precompute_visual_kv` projects them ahead of any
+text with the same code, and :func:`forward_vica_fast` runs the same text
+layer over them without ever materializing vision rows in its hidden state.
 
 :func:`forward_baseline_masked_oracle` is the referee for all of this. It
-always runs the full joint computation and reproduces the policy modes purely
-by disabling write/read paths (zeroed residual slices, masked attention
-blocks), which is the semantic claim the equivalence suite checks.
+always runs the full joint computation with explicit masks and reproduces the
+policy modes purely by disabling write/read paths (zeroed residual slices,
+masked attention blocks), which is the semantic claim the equivalence suite
+checks.
 """
 
 from __future__ import annotations
 
-import io
 import logging
-import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -48,8 +50,6 @@ from .numerics import ShapeError, count_macs, gated_ffn, matmul, rms_norm
 from .pruning import relocate_drop_events, resolve_schedule, select_kept_tokens
 
 logger = logging.getLogger(__name__)
-
-MAGIC = b"VICA1"
 
 
 class ConfigError(ValueError):
@@ -221,6 +221,38 @@ def schedule_preset(name: str) -> PolicySchedule:
     return schedule
 
 
+def parse_schedule(name: str, n_layers: int) -> PolicySchedule:
+    """Schedule by name for an ``n_layers``-deep model.
+
+    ``baseline``, ``baseline+pdrop``, ``freeze`` (or ``freezevis``) and
+    ``textonly`` fit any depth; ``sparse:<layer>,<layer>,...`` retains the
+    listed layers; any other name is a :func:`schedule_preset`, which must
+    span ``n_layers``.
+    """
+    if name == "baseline":
+        return PolicySchedule.baseline(n_layers)
+    if name == "baseline+pdrop":
+        return PolicySchedule.baseline(n_layers).with_drops(pdrop_baseline_events(n_layers))
+    if name in ("freeze", "freezevis"):
+        return PolicySchedule.freeze_vis(n_layers)
+    if name == "textonly":
+        return PolicySchedule.text_only(n_layers)
+    if name.startswith("sparse:"):
+        try:
+            retained = {int(x) for x in name.removeprefix("sparse:").split(",")}
+        except ValueError:
+            raise ConfigError(
+                f"bad schedule {name!r}; expected sparse:<layer>,<layer>,..."
+            ) from None
+        return PolicySchedule.sparse_cross(n_layers, retained)
+    schedule = schedule_preset(name)
+    if schedule.n_layers != n_layers:
+        raise ConfigError(
+            f"schedule {name!r} spans {schedule.n_layers} layers, model has {n_layers}"
+        )
+    return schedule
+
+
 # ---------------------------------------------------------------------------
 # weights
 
@@ -298,72 +330,6 @@ def init_model(config: ModelConfig, seed: int) -> Weights:
 
 
 # ---------------------------------------------------------------------------
-# serialization: flat binary container, little-endian, shape-prefixed float64
-
-
-def save_weights(weights: Weights, path) -> None:
-    """Write weights to the flat binary container (see docs/formats.md)."""
-    cfg = weights.config
-    tensors = [("pos", weights.pos)]
-    for l, lw in enumerate(weights.layers):
-        for name in ("attn_gain", "wq", "wk", "wv", "wo", "ffn_gain", "w_gate", "w_up", "w_down"):
-            tensors.append((f"layers.{l}.{name}", getattr(lw, name)))
-    tensors.append(("out_gain", weights.out_gain))
-    tensors.append(("w_out", weights.w_out))
-
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(
-        struct.pack(
-            "<6I", cfg.n_layers, cfg.n_heads, cfg.d_model, cfg.d_ffn, cfg.vocab, cfg.max_seq
-        )
-    )
-    buf.write(struct.pack("<I", len(tensors)))
-    for name, arr in tensors:
-        raw = name.encode("utf-8")
-        buf.write(struct.pack("<I", len(raw)))
-        buf.write(raw)
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        buf.write(struct.pack("<I", arr.ndim))
-        buf.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        buf.write(arr.tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
-
-
-def load_weights(path) -> Weights:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[: len(MAGIC)] != MAGIC:
-        raise ConfigError(f"{path}: bad magic {data[:len(MAGIC)]!r}, expected {MAGIC!r}")
-    off = len(MAGIC)
-    n_layers, n_heads, d, m, vocab, max_seq = struct.unpack_from("<6I", data, off)
-    off += 24
-    config = ModelConfig(n_layers, n_heads, d, m, vocab, max_seq)
-    (n_tensors,) = struct.unpack_from("<I", data, off)
-    off += 4
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(n_tensors):
-        (name_len,) = struct.unpack_from("<I", data, off)
-        off += 4
-        name = data[off : off + name_len].decode("utf-8")
-        off += name_len
-        (ndim,) = struct.unpack_from("<I", data, off)
-        off += 4
-        shape = struct.unpack_from(f"<{ndim}Q", data, off)
-        off += 8 * ndim
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=off).reshape(shape)
-        off += 8 * count
-        tensors[name] = arr.astype(np.float64)
-    layers = tuple(
-        LayerWeights(**{k: tensors[f"layers.{l}.{k}"] for k in LayerWeights.__dataclass_fields__})
-        for l in range(n_layers)
-    )
-    return Weights(config, tensors["pos"], layers, tensors["out_gain"], tensors["w_out"])
-
-
-# ---------------------------------------------------------------------------
 # forward passes
 
 
@@ -418,20 +384,32 @@ def schedule_to_disabled_paths(schedule: PolicySchedule) -> frozenset[str]:
     return frozenset(disabled)
 
 
-def _check_inputs(weights: Weights, vision_emb: np.ndarray, text_emb: np.ndarray,
-                  schedule: PolicySchedule) -> tuple[int, int]:
-    cfg = weights.config
+def _check_schedule(cfg: ModelConfig, schedule: PolicySchedule) -> None:
     if schedule.n_layers != cfg.n_layers:
         raise ConfigError(
             f"schedule covers {schedule.n_layers} layers, model has {cfg.n_layers}"
         )
-    vision_emb = np.asarray(vision_emb)
-    text_emb = np.asarray(text_emb)
-    if vision_emb.ndim != 2 or vision_emb.shape[1] != cfg.d_model:
-        raise ShapeError(f"vision embeddings {vision_emb.shape} need width {cfg.d_model}")
-    if text_emb.ndim != 2 or text_emb.shape[1] != cfg.d_model:
-        raise ShapeError(f"text embeddings {text_emb.shape} need width {cfg.d_model}")
-    n, t = vision_emb.shape[0], text_emb.shape[0]
+
+
+def _check_rows(kind: str, emb: np.ndarray, d_model: int) -> int:
+    """Row count of a 2-D ``(rows, d_model)`` embedding matrix."""
+    shape = np.shape(emb)
+    if len(shape) != 2 or shape[1] != d_model:
+        raise ShapeError(f"{kind} embeddings {shape} need width {d_model}")
+    return shape[0]
+
+
+def _check_inputs(weights: Weights, vision_emb: np.ndarray | None, text_emb: np.ndarray,
+                  schedule: PolicySchedule, n_vision: int = 0) -> tuple[int, int]:
+    """Validate schedule depth, embedding shapes and stream length; return (n, t).
+
+    The fast path has no vision embeddings: it passes ``vision_emb=None`` and
+    the vision count of its precomputed KV as ``n_vision``.
+    """
+    cfg = weights.config
+    _check_schedule(cfg, schedule)
+    n = n_vision if vision_emb is None else _check_rows("vision", vision_emb, cfg.d_model)
+    t = _check_rows("text", text_emb, cfg.d_model)
     if t < 1:
         raise ConfigError("at least one text token is required")
     if n + t > cfg.max_seq:
@@ -485,32 +463,30 @@ def _baseline_layer(
     return h, h_attn, h_attn + f
 
 
-def _frozen_layer(
-    v_rows: np.ndarray,
+def _vision_kv(v_rows: np.ndarray, lw: LayerWeights) -> tuple[np.ndarray, np.ndarray]:
+    """Keys and values of frozen vision rows at one layer; reads no text."""
+    xv = rms_norm(v_rows, lw.attn_gain)
+    return matmul(xv, lw.wk), matmul(xv, lw.wv)
+
+
+def _text_layer(
     t_rows: np.ndarray,
     lw: LayerWeights,
     n_heads: int,
-    read_vision: bool,
-    t_system: int = 0,
-    system_reads_vision: bool = True,
+    vision_kv: tuple[np.ndarray, np.ndarray] | None = None,
+    n_blind: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Text-updating layer; vision rows are read-only KV (or absent)."""
-    n = v_rows.shape[0]
-    t = t_rows.shape[0]
+    """Text-updating layer over read-only vision KV (or none).
+
+    The text rows attend to ``[vision keys; text keys]`` under the
+    bottom-right rule, the first ``n_blind`` of them without the vision keys.
+    Returns (t_post_attn, t_post_ffn).
+    """
     xt = rms_norm(t_rows, lw.attn_gain)
-    qt = matmul(xt, lw.wq)
-    if read_vision and n > 0:
-        xv = rms_norm(v_rows, lw.attn_gain)
-        k = np.vstack([matmul(xv, lw.wk), matmul(xt, lw.wk)])
-        val = np.vstack([matmul(xv, lw.wv), matmul(xt, lw.wv)])
-        mask = build_cross_mask(
-            TokenLayout(n, t_system, t - t_system), True, system_reads_vision
-        )
-    else:
-        k = matmul(xt, lw.wk)
-        val = matmul(xt, lw.wv)
-        mask = FlowMask(bottom_right_mask(t, t))
-    attn = masked_attention_oracle(qt, k, val, mask, n_heads)
+    q, k, v = matmul(xt, lw.wq), matmul(xt, lw.wk), matmul(xt, lw.wv)
+    if vision_kv is not None:
+        k, v = np.vstack([vision_kv[0], k]), np.vstack([vision_kv[1], v])
+    attn = asymmetric_cross_attention(q, k, v, n_heads, n_blind)
     t_attn = t_rows + matmul(attn, lw.wo)
     t_ffn = t_attn + gated_ffn(rms_norm(t_attn, lw.ffn_gain), lw.w_gate, lw.w_up, lw.w_down)
     return t_attn, t_ffn
@@ -560,6 +536,7 @@ def forward(
         )
     cfg = weights.config
     drop_targets = _resolved_drop_targets(schedule, n0)
+    n_blind = 0 if system_reads_vision else layout.t_system
 
     v_rows = np.array(vision_emb, dtype=float, copy=True)
     t_rows = _embed_text(weights, np.asarray(text_emb, dtype=float), n0)
@@ -586,11 +563,10 @@ def forward(
                 v_rows, t_rows = h_ffn[:n_cur], h_ffn[n_cur:]
                 snap = (h_pre, h_attn, h_ffn)
             else:
-                read_vision = pol.mode in FROZEN_KV_MODES
-                t_attn, t_ffn = _frozen_layer(
-                    v_rows, t_rows, lw, cfg.n_heads, read_vision,
-                    layout.t_system, system_reads_vision,
-                )
+                vision_kv = None
+                if pol.mode in FROZEN_KV_MODES and n_cur > 0:
+                    vision_kv = _vision_kv(v_rows, lw)
+                t_attn, t_ffn = _text_layer(t_rows, lw, cfg.n_heads, vision_kv, n_blind)
                 if record_trace:
                     snap = (
                         np.vstack([v_rows, t_rows]),
@@ -629,7 +605,9 @@ def forward_baseline_masked_oracle(
     zeroing residual slices (``vis_attn_write@l``, ``vis_ffn_write@l``) or
     masking the text-to-vision block (``t2v_read@l``).
     """
-    n, t = _check_inputs(weights, vision_emb, text_emb, schedule=PolicySchedule.baseline(weights.config.n_layers))
+    n, t = _check_inputs(
+        weights, vision_emb, text_emb, PolicySchedule.baseline(weights.config.n_layers)
+    )
     cfg = weights.config
     disabled: dict[int, set[str]] = {}
     for spec in write_paths_disabled:
@@ -693,20 +671,23 @@ def precompute_visual_kv(
     built as soon as the image is projected, in parallel with prompt arrival.
     """
     cfg = weights.config
-    if schedule.n_layers != cfg.n_layers:
-        raise ConfigError(
-            f"schedule covers {schedule.n_layers} layers, model has {cfg.n_layers}"
-        )
+    _check_schedule(cfg, schedule)
+    n = _check_rows("vision", vision_emb, cfg.d_model)
     vision_emb = np.asarray(vision_emb, dtype=float)
-    if vision_emb.ndim != 2 or vision_emb.shape[1] != cfg.d_model:
-        raise ShapeError(f"vision embeddings {vision_emb.shape} need width {cfg.d_model}")
-    entries: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     with count_macs(counter):
-        for l in schedule.frozen_vision_layers():
-            lw = weights.layers[l]
-            xv = rms_norm(vision_emb, lw.attn_gain)
-            entries[l] = (matmul(xv, lw.wk), matmul(xv, lw.wv))
-    return VisualKvSet(vision_emb.shape[0], cfg.d_model, entries)
+        entries = {
+            l: _vision_kv(vision_emb, weights.layers[l])
+            for l in schedule.frozen_vision_layers()
+        }
+    return VisualKvSet(n, cfg.d_model, entries)
+
+
+def _check_fast_schedule(schedule: PolicySchedule) -> None:
+    """Reject what the fixed-shape, text-only fast path cannot run."""
+    if schedule.has_drops():
+        raise ConfigError("fast path is fixed-shape; run drop schedules on forward()")
+    if any(p.mode is PolicyMode.BASELINE for p in schedule.layers):
+        raise ConfigError("fast path cannot update vision rows (baseline layers)")
 
 
 def forward_vica_fast(
@@ -720,20 +701,14 @@ def forward_vica_fast(
 ) -> ForwardResult:
     """Text-only pipeline attending into precomputed vision KV.
 
-    Vision rows never enter the hidden state; at retaining layers the text
-    queries run mask-free bottom-right attention over [vision KV; text KV].
+    Vision rows never enter the hidden state; every layer runs the engine's
+    text layer, reading the precomputed vision KV at retaining layers.
     Fixed-shape by construction: schedules with drop events or ``BASELINE``
     layers are rejected.
     """
     cfg = weights.config
-    if schedule.n_layers != cfg.n_layers:
-        raise ConfigError(
-            f"schedule covers {schedule.n_layers} layers, model has {cfg.n_layers}"
-        )
-    if schedule.has_drops():
-        raise ConfigError("fast path is fixed-shape; run drop schedules on forward()")
-    if any(p.mode is PolicyMode.BASELINE for p in schedule.layers):
-        raise ConfigError("fast path cannot update vision rows (baseline layers)")
+    _check_inputs(weights, None, text_emb, schedule, n_vision=kv.n_vision)
+    _check_fast_schedule(schedule)
     expected = set(schedule.frozen_vision_layers())
     if set(kv.entries) != expected:
         raise ConfigError(
@@ -745,34 +720,15 @@ def forward_vica_fast(
         if k_vis.shape != (kv.n_vision, cfg.d_model) or v_vis.shape != k_vis.shape:
             raise ConfigError(f"kv entry at layer {l} has shape {k_vis.shape}")
 
-    text_emb = np.asarray(text_emb, dtype=float)
-    t = text_emb.shape[0]
-    if t < 1:
-        raise ConfigError("at least one text token is required")
-    if kv.n_vision + t > cfg.max_seq:
-        raise ConfigError(f"{kv.n_vision}+{t} tokens exceed max_seq {cfg.max_seq}")
-
-    t_rows = _embed_text(weights, text_emb, kv.n_vision)
+    t_rows = _embed_text(weights, np.asarray(text_emb, dtype=float), kv.n_vision)
     trace: list[LayerTrace] | None = [] if record_trace else None
     with count_macs(counter):
         for l, pol in enumerate(schedule.layers):
-            lw = weights.layers[l]
-            xt = rms_norm(t_rows, lw.attn_gain)
-            qt = matmul(xt, lw.wq)
-            kt = matmul(xt, lw.wk)
-            vt = matmul(xt, lw.wv)
+            vision_kv = None
             if pol.mode in FROZEN_KV_MODES and kv.n_vision > 0:
-                k_vis, v_vis = kv.entries[l]
-                attn = asymmetric_cross_attention(
-                    qt, np.vstack([k_vis, kt]), np.vstack([v_vis, vt]), cfg.n_heads
-                )
-            else:
-                attn = asymmetric_cross_attention(qt, kt, vt, cfg.n_heads)
+                vision_kv = kv.entries[l]
             t_pre = t_rows
-            t_attn = t_rows + matmul(attn, lw.wo)
-            t_rows = t_attn + gated_ffn(
-                rms_norm(t_attn, lw.ffn_gain), lw.w_gate, lw.w_up, lw.w_down
-            )
+            t_attn, t_rows = _text_layer(t_rows, weights.layers[l], cfg.n_heads, vision_kv)
             if record_trace:
                 trace.append(
                     LayerTrace(
@@ -813,18 +769,22 @@ def count_forward_macs(
     """Exact MAC count the instrumented forward would report, from shapes only.
 
     ``path='engine'`` mirrors :func:`forward`; ``path='fast'`` mirrors
-    :func:`precompute_visual_kv` + :func:`forward_vica_fast`. The counts are
-    validated against live counters in the test suite and exist so preset
-    geometries can be accounted without allocating preset-sized weights.
+    :func:`precompute_visual_kv` + :func:`forward_vica_fast` and rejects the
+    schedules the fast path rejects. Both paths run non-``BASELINE`` layers
+    through the same text layer, so they count them alike;
+    ``include_kv_precompute=False`` leaves the fast path's vision KV
+    projections out. The counts are validated against live counters in the
+    test suite and exist so preset geometries can be accounted without
+    allocating preset-sized weights.
     """
     if path not in ("engine", "fast"):
         raise ConfigError(f"unknown path {path!r}")
-    d, m, heads = config.d_model, config.d_ffn, config.n_heads
+    d, m = config.d_model, config.d_ffn
     t = layout.n_text
     n_cur = layout.n_vision
+    if path == "fast":
+        _check_fast_schedule(schedule)
     drop_targets = _resolved_drop_targets(schedule, layout.n_vision)
-    if path == "fast" and drop_targets is not None:
-        raise ConfigError("fast path is fixed-shape; run drop schedules on forward()")
 
     macs = 0
     for l, pol in enumerate(schedule.layers):
@@ -833,22 +793,16 @@ def count_forward_macs(
             macs += 2 * t * d * d + n_cur * d * d + t * (n_cur + t) * d
             n_cur = drop_targets[l]
         n = n_cur
-        if path == "engine":
-            if pol.mode is PolicyMode.BASELINE:
-                total = n + t
-                macs += 4 * total * d * d + 2 * total * total * d + 3 * total * d * m
-            elif pol.mode in FROZEN_KV_MODES:
-                macs += 2 * n * d * d + 4 * t * d * d + 2 * t * (n + t) * d + 3 * t * d * m
-            else:
-                macs += 4 * t * d * d + 2 * t * t * d + 3 * t * d * m
-        else:
-            macs += 4 * t * d * d + 3 * t * d * m
-            if pol.mode in FROZEN_KV_MODES and n > 0:
-                macs += sum(2 * (n + i + 1) * d for i in range(t))
-                if include_kv_precompute:
-                    macs += 2 * n * d * d
-            else:
-                macs += sum(2 * (i + 1) * d for i in range(t))
+        if pol.mode is PolicyMode.BASELINE:
+            total = n + t
+            macs += 4 * total * d * d + 2 * total * total * d + 3 * total * d * m
+            continue
+        # text layer: projections, FFN, causal text-key attention (scores + mix)
+        macs += 4 * t * d * d + 3 * t * d * m + t * (t + 1) * d
+        if pol.mode in FROZEN_KV_MODES and n > 0:
+            macs += 2 * t * n * d  # every text row reads all n vision keys
+            if path == "engine" or include_kv_precompute:
+                macs += 2 * n * d * d
     if include_logits:
         macs += t * d * config.vocab
     return macs

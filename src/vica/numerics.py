@@ -76,8 +76,8 @@ def add_macs(n: int) -> None:
     """Credit ``n`` MACs to the active counter, if any.
 
     Kernels that contract tensors without going through :func:`matmul`
-    (e.g. the mask-free attention path) call this with the exact count
-    an equivalent matmul decomposition would report.
+    call this with the count they are charged. The text-query attention
+    kernel charges only the keys each query row may see.
     """
     counter = _ACTIVE_COUNTER.get()
     if counter is not None:

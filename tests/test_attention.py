@@ -252,17 +252,24 @@ class TestAsymmetricCrossAttention:
         d = 8
         for n in range(0, 9, 2):
             for t in range(1, 9, 2):
-                q = rng.standard_normal((t, d))
-                k = rng.standard_normal((n + t, d))
-                v = rng.standard_normal((n + t, d))
-                fast = asymmetric_cross_attention(q, k, v, n_heads)
-                mask = FlowMask(bottom_right_mask(t, n + t))
-                np.testing.assert_allclose(
-                    fast, masked_attention_oracle(q, k, v, mask, n_heads), atol=1e-12
-                )
+                for n_blind in sorted({0, 1, t}):
+                    q = rng.standard_normal((t, d))
+                    k = rng.standard_normal((n + t, d))
+                    v = rng.standard_normal((n + t, d))
+                    fast = asymmetric_cross_attention(q, k, v, n_heads, n_blind)
+                    mask = build_cross_mask(TokenLayout(n, n_blind, t - n_blind), True, False)
+                    np.testing.assert_allclose(
+                        fast, masked_attention_oracle(q, k, v, mask, n_heads), atol=1e-12
+                    )
 
     def test_too_many_queries_rejected(self):
         with pytest.raises(ShapeError):
             asymmetric_cross_attention(
                 np.zeros((4, 8)), np.zeros((3, 8)), np.zeros((3, 8)), 2
             )
+
+    def test_blind_rows_outside_queries_rejected(self):
+        q, kv = np.zeros((2, 8)), np.zeros((5, 8))
+        for n_blind in (-1, 3):
+            with pytest.raises(ShapeError):
+                asymmetric_cross_attention(q, kv, kv, 2, n_blind)

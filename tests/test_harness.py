@@ -6,10 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import vica.cli as cli
 import vica.harness as harness
 from vica.cli import main
 from vica.harness import (
     EXIT_CONFIG_ERROR,
+    EXIT_INTERNAL_ERROR,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     ExperimentConfig,
@@ -366,3 +368,14 @@ class TestCliPlumbing:
     def test_diagnose_zero_batch(self, tmp_path):
         code = main(["diagnose", "--batch", "0", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG_ERROR
+
+    def test_crash_exits_internal_error(self, tmp_path, monkeypatch, capsys):
+        def crash(cfg):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli.RUNNERS, "cost", crash)
+        code = main(["cost", "--preset", "llava3b", "--out", str(tmp_path)])
+        assert code == EXIT_INTERNAL_ERROR
+        assert code not in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_CONFIG_ERROR)
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: boom" in err
