@@ -8,10 +8,14 @@ of a length-``q`` query block over ``kv`` keys may attend to key ``j`` iff
 ``j <= i + (kv - q)``, the bottom-right alignment of the causal diagonal.
 
 Two evaluation paths are provided. :func:`masked_attention_oracle` takes an
-explicit boolean :class:`FlowMask` and is the reference for everything else.
-:func:`asymmetric_cross_attention` is the text-query kernel of the engine and
-the fast path: it builds no :class:`FlowMask` and applies the bottom-right
-rule (plus optional vision-blind rows) to each head's score block in place.
+explicit boolean :class:`FlowMask`, forms the full score matrix and is the
+reference for everything else. :func:`asymmetric_cross_attention` is the
+causal kernel of the engine and the fast path: it builds no
+:class:`FlowMask`, works a block of query rows at a time, forms no key tile
+past a block's last permitted key and applies the bottom-right rule (plus
+optional vision-blind rows) to the rest in place. The engine runs its joint
+``BASELINE`` layers on it too, as two calls: vision rows over vision keys,
+then text rows over all keys.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ShapeError, add_macs, matmul, row_softmax
+from .numerics import _ROW_BLOCK, ShapeError, add_macs, matmul, row_softmax
 
 
 @dataclass(frozen=True)
@@ -197,11 +201,23 @@ def asymmetric_cross_attention(
     With ``t`` queries and ``kv_len`` keys, the first ``n = kv_len - t`` keys
     are the vision prefix. Query row ``i`` sees every vision key and the text
     keys ``0..i``; the first ``n_blind`` rows are also blind to the vision
-    keys (system-prompt rows under eager masking). Per head, one score
-    product is masked in place with ``-inf``, softmaxed in place and mixed
-    with the values. Matches :func:`masked_attention_oracle` under
-    :func:`build_cross_mask`. Credits the causal MAC count
-    ``2 * d * (t * n + t * (t + 1) / 2)``, independent of ``n_blind``.
+    keys (system-prompt rows under eager masking). With ``n = 0`` this is
+    plain causal self-attention, which is how the engine runs the vision
+    rows of a joint layer.
+
+    The query rows split into blocks as :func:`~vica.numerics.row_softmax`
+    splits its rows (``max(1, t // _ROW_BLOCK)`` even blocks). Per head, block
+    ``[r0, r1)`` forms scores only against keys ``0 .. n + r1 - 1``, its last
+    permitted one, so the causally masked key tiles past it are never formed,
+    masked or exponentiated. Inside the block only the diagonal text tile and
+    the blind rows' vision columns are set to ``-inf``. ``1 / sqrt(d_head)``
+    is folded into the queries once, and the row sums normalise the
+    ``(rows, d_head)`` value product rather than the ``(rows, keys)``
+    weights. Every row sees at least its own key, so no row is empty.
+
+    Matches :func:`masked_attention_oracle` under :func:`build_cross_mask`.
+    Credits the causal MAC count ``2 * d * (t * n + t * (t + 1) / 2)``,
+    independent of ``n_blind``.
     """
     q_text = np.asarray(q_text)
     k_all = np.asarray(k_all)
@@ -217,23 +233,31 @@ def asymmetric_cross_attention(
     if not 0 <= n_blind <= t:
         raise ShapeError(f"n_blind {n_blind} outside 0..{t}")
     n = kv_len - t
-    scale = 1.0 / math.sqrt(d // n_heads)
-    future = ~np.tri(t, dtype=bool)  # text key j > query row i
-
     out = np.empty_like(q_text)
+    if t == 0:
+        return out
+    q_scaled = q_text * (1.0 / math.sqrt(d // n_heads))
+    n_blocks = max(1, t // _ROW_BLOCK)
+    # text key j > query row i, for the largest diagonal tile of any block
+    future = ~np.tri(t // n_blocks + 1, dtype=bool)
+
     for q_h, k_h, v_h, o_h in zip(
-        split_heads(q_text, n_heads),
+        split_heads(q_scaled, n_heads),
         split_heads(k_all, n_heads),
         split_heads(v_all, n_heads),
         split_heads(out, n_heads),
     ):
-        scores = q_h @ k_h.T
-        scores *= scale
-        np.copyto(scores[:, n:], -np.inf, where=future)
-        scores[:n_blind, :n] = -np.inf
-        scores -= scores.max(axis=1, keepdims=True)
-        np.exp(scores, out=scores)  # masked entries: exp(-inf) == 0.0
-        scores /= scores.sum(axis=1, keepdims=True)
-        o_h[:] = scores @ v_h
+        for b in range(n_blocks):
+            r0, r1 = b * t // n_blocks, (b + 1) * t // n_blocks
+            rows = r1 - r0
+            scores = q_h[r0:r1] @ k_h[: n + r1].T
+            np.copyto(scores[:, n + r0 :], -np.inf, where=future[:rows, :rows])
+            if r0 < n_blind:
+                scores[: n_blind - r0, :n] = -np.inf
+            scores -= scores.max(axis=1, keepdims=True)
+            np.exp(scores, out=scores)  # masked entries: exp(-inf) == 0.0
+            mixed = scores @ v_h[: n + r1]
+            mixed /= scores.sum(axis=1, keepdims=True)
+            o_h[r0:r1] = mixed
     add_macs(2 * d * (t * n + t * (t + 1) // 2))
     return out

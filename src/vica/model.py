@@ -13,17 +13,23 @@ layer carries a policy mode:
 * ``TEXT_ONLY``:  vision is neither written nor read; the layer is a plain
                   causal text block and does not project vision KV at all.
 
-Every non-``BASELINE`` layer is one text layer: the text rows go through
+A ``BASELINE`` layer runs its joint attention as two calls of the causal
+kernel :func:`~vica.attention.asymmetric_cross_attention`: the vision rows
+over the vision keys, then the text rows over every key. Every
+non-``BASELINE`` layer is one text layer: the text rows go through
 attention and the FFN, reading the layer's frozen vision keys/values (if the
-mode offers them) through :func:`~vica.attention.asymmetric_cross_attention`.
+mode offers them) through the same kernel.
 Because frozen vision rows never change, those keys/values depend only on
 the input vision embeddings and the layer weights. :func:`forward` projects
 them layer by layer; :func:`precompute_visual_kv` projects them ahead of any
 text with the same code, and :func:`forward_vica_fast` runs the same text
 layer over them without ever materializing vision rows in its hidden state.
 
-:func:`forward_baseline_masked_oracle` is the referee for all of this. It
-always runs the full joint computation with explicit masks and reproduces the
+:func:`forward_baseline_masked_oracle` is the referee for all of this,
+``BASELINE`` layers included. It shares only the projections, residuals and
+FFN of the joint layer with the engine; its attention is
+:func:`~vica.attention.masked_attention_oracle` over the full square score
+matrix under an explicit :class:`~vica.attention.FlowMask`. It reproduces the
 policy modes purely by disabling write/read paths (zeroed residual slices,
 masked attention blocks), which is the semantic claim the equivalence suite
 checks.
@@ -32,8 +38,10 @@ checks.
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -46,7 +54,7 @@ from .attention import (
     build_cross_mask,
     masked_attention_oracle,
 )
-from .numerics import ShapeError, count_macs, gated_ffn, matmul, rms_norm
+from .numerics import ShapeError, add_macs, count_macs, gated_ffn, matmul, rms_norm
 from .pruning import relocate_drop_events, resolve_schedule, select_kept_tokens
 
 logger = logging.getLogger(__name__)
@@ -392,11 +400,21 @@ def _check_schedule(cfg: ModelConfig, schedule: PolicySchedule) -> None:
 
 
 def _check_rows(kind: str, emb: np.ndarray, d_model: int) -> int:
-    """Row count of a 2-D ``(rows, d_model)`` embedding matrix."""
+    """Row count of a 2-D ``(rows, d_model)`` embedding matrix of finite values."""
     shape = np.shape(emb)
     if len(shape) != 2 or shape[1] != d_model:
         raise ShapeError(f"{kind} embeddings {shape} need width {d_model}")
+    if not np.isfinite(emb).all():
+        raise ConfigError(f"{kind} embeddings hold NaN or inf")
     return shape[0]
+
+
+def _check_stream(cfg: ModelConfig, n: int, t: int) -> None:
+    """At least one text token, and ``n + t`` tokens within ``max_seq``."""
+    if t < 1:
+        raise ConfigError("at least one text token is required")
+    if n + t > cfg.max_seq:
+        raise ConfigError(f"{n}+{t} tokens exceed max_seq {cfg.max_seq}")
 
 
 def _check_inputs(weights: Weights, vision_emb: np.ndarray | None, text_emb: np.ndarray,
@@ -410,10 +428,7 @@ def _check_inputs(weights: Weights, vision_emb: np.ndarray | None, text_emb: np.
     _check_schedule(cfg, schedule)
     n = n_vision if vision_emb is None else _check_rows("vision", vision_emb, cfg.d_model)
     t = _check_rows("text", text_emb, cfg.d_model)
-    if t < 1:
-        raise ConfigError("at least one text token is required")
-    if n + t > cfg.max_seq:
-        raise ConfigError(f"{n}+{t} tokens exceed max_seq {cfg.max_seq}")
+    _check_stream(cfg, n, t)
     return n, t
 
 
@@ -427,33 +442,25 @@ def _embed_text(weights: Weights, text_emb: np.ndarray, n_vision: int) -> np.nda
 def _baseline_layer(
     h: np.ndarray,
     lw: LayerWeights,
-    n_heads: int,
+    attend: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     n_vision: int,
-    t_system: int = 0,
     *,
-    t2v_read: bool = True,
     vis_attn_write: bool = True,
     vis_ffn_write: bool = True,
-    system_reads_vision: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One joint self-attention layer; flags carve out write/read paths.
+    """One joint self-attention layer; flags carve out the vision write paths.
 
+    ``attend(q, k, v)`` is the layer's multi-head attention over the whole
+    stream, and the caller's choice: the engine passes
+    :func:`_joint_causal_attention`, the masked oracle passes
+    :func:`masked_attention_oracle` under its flow mask.
     Returns (h_pre, h_post_attn, h_post_ffn); h_pre aliases the input.
     """
-    total = h.shape[0]
     x = rms_norm(h, lw.attn_gain)
     q = matmul(x, lw.wq)
     k = matmul(x, lw.wk)
     v = matmul(x, lw.wv)
-    allowed = bottom_right_mask(total, total)
-    if not t2v_read:
-        allowed = allowed.copy()
-        allowed[n_vision:, :n_vision] = False
-    elif not system_reads_vision:
-        allowed = allowed.copy()
-        allowed[n_vision : n_vision + t_system, :n_vision] = False
-    attn = masked_attention_oracle(q, k, v, FlowMask(allowed), n_heads)
-    delta = matmul(attn, lw.wo)
+    delta = matmul(attend(q, k, v), lw.wo)
     if not vis_attn_write:
         delta[:n_vision] = 0.0
     h_attn = h + delta
@@ -461,6 +468,32 @@ def _baseline_layer(
     if not vis_ffn_write:
         f[:n_vision] = 0.0
     return h, h_attn, h_attn + f
+
+
+def _joint_causal_attention(
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    n_heads: int,
+    n_vision: int,
+    n_blind: int = 0,
+) -> np.ndarray:
+    """Causal attention over a [vision; text] stream as two kernel calls.
+
+    The vision rows attend to the vision keys (plain causal); the text rows
+    attend to every key under the bottom-right rule, the first ``n_blind`` of
+    them without the vision keys. Neither call forms a masked key tile.
+    """
+    total, d = q.shape
+    out = np.vstack([
+        asymmetric_cross_attention(q[:n_vision], k[:n_vision], v[:n_vision], n_heads),
+        asymmetric_cross_attention(q[n_vision:], k, v, n_heads, n_blind),
+    ])
+    # The kernels credit the causal d * L * (L + 1) MACs, but the cost model
+    # charges the dense baseline 2 * d * L^2 (ROADMAP item 2(a)): credit the
+    # masked d * L * (L - 1) here, so the engine counts what the model charges.
+    add_macs(d * total * (total - 1))
+    return out
 
 
 def _vision_kv(v_rows: np.ndarray, lw: LayerWeights) -> tuple[np.ndarray, np.ndarray]:
@@ -556,10 +589,11 @@ def forward(
 
             if pol.mode is PolicyMode.BASELINE:
                 h = np.vstack([v_rows, t_rows])
-                h_pre, h_attn, h_ffn = _baseline_layer(
-                    h, lw, cfg.n_heads, n_cur, layout.t_system,
-                    system_reads_vision=system_reads_vision,
+                attend = partial(
+                    _joint_causal_attention,
+                    n_heads=cfg.n_heads, n_vision=n_cur, n_blind=n_blind,
                 )
+                h_pre, h_attn, h_ffn = _baseline_layer(h, lw, attend, n_cur)
                 v_rows, t_rows = h_ffn[:n_cur], h_ffn[n_cur:]
                 snap = (h_pre, h_attn, h_ffn)
             else:
@@ -617,13 +651,17 @@ def forward_baseline_masked_oracle(
     h = np.vstack(
         [np.asarray(vision_emb, dtype=float), _embed_text(weights, np.asarray(text_emb, dtype=float), n)]
     )
+    causal = bottom_right_mask(n + t, n + t)
+    no_t2v = causal.copy()
+    no_t2v[n:, :n] = False
     trace: list[LayerTrace] | None = [] if record_trace else None
     with count_macs(counter):
         for l in range(cfg.n_layers):
             off = disabled.get(l, set())
+            mask = FlowMask(no_t2v if "t2v_read" in off else causal)
+            attend = partial(masked_attention_oracle, mask=mask, n_heads=cfg.n_heads)
             h_pre, h_attn, h_ffn = _baseline_layer(
-                h, weights.layers[l], cfg.n_heads, n,
-                t2v_read="t2v_read" not in off,
+                h, weights.layers[l], attend, n,
                 vis_attn_write="vis_attn_write" not in off,
                 vis_ffn_write="vis_ffn_write" not in off,
             )
@@ -779,6 +817,8 @@ def count_forward_macs(
     """
     if path not in ("engine", "fast"):
         raise ConfigError(f"unknown path {path!r}")
+    _check_schedule(config, schedule)
+    _check_stream(config, layout.n_vision, layout.n_text)
     d, m = config.d_model, config.d_ffn
     t = layout.n_text
     n_cur = layout.n_vision

@@ -9,11 +9,12 @@ The softmax and SiLU kernels spend their time on arithmetic, not on
 temporaries. :func:`row_softmax` works a block of rows at a time in one
 small buffer, masks it in place and stops each block at its last permitted
 key column, so the causally masked half of a square score matrix is neither
-copied nor exponentiated. It does not shrink the products around it: the
-attention callers still form the full ``q x kv`` score matrix and value mix
-with :func:`matmul`, because those square products are what the cost model
-charges the dense baseline and what the MAC counter checks it against.
-:func:`silu` works in place on fixed-size chunks.
+copied nor exponentiated. It does not shrink the products around it: its
+callers, the masked oracle and the attention-weight diagnostics, still form
+the full ``q x kv`` score matrix and value mix with :func:`matmul`. The
+engine's causal kernel (:func:`~vica.attention.asymmetric_cross_attention`)
+does not call it: it blocks its query rows the same way and never forms the
+masked key tiles at all. :func:`silu` works in place on fixed-size chunks.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ logger = logging.getLogger(__name__)
 # RMS normalization epsilon. Fixed, not configurable.
 RMS_EPS = 1e-6
 
-# Least rows per block in row_softmax: the rows split evenly into
-# rows // _ROW_BLOCK blocks, so there is no short tail block whose call
-# overhead outweighs the columns it skips. Fixed, not configurable.
+# Least rows per block in row_softmax and in the causal attention kernel: the
+# rows split evenly into rows // _ROW_BLOCK blocks, so there is no short tail
+# block whose call overhead outweighs the columns it skips. Fixed, not
+# configurable.
 _ROW_BLOCK = 64
 
 # Elements per chunk in silu (256 KiB of float64). Fixed, not configurable.
@@ -117,9 +119,8 @@ def row_softmax(
     buffer, the masked entries are set to ``-inf`` in place, the max shift
     and ``exp`` run in place, and the row normalization writes the block of
     the result. ``scores`` and ``allowed`` are never written. Only the
-    softmax skips masked tiles: ``scores`` is still the full square product
-    the cost model charges the dense baseline, and the value mix consumes
-    the full result, zeros included.
+    softmax skips masked tiles: the caller has already formed ``scores`` in
+    full, and its value mix consumes the full result, zeros included.
     """
     scores = np.asarray(scores)
     if scores.ndim != 2:

@@ -261,6 +261,28 @@ class TestAsymmetricCrossAttention:
                     np.testing.assert_allclose(
                         fast, masked_attention_oracle(q, k, v, mask, n_heads), atol=1e-12
                     )
+        # no queries, one row block at its edges (63..65 rows), two blocks
+        # (128, 129), three (200), and blind rows ending on either side of a
+        # block boundary (blocks start at rows 64 for t=128/129, 66 and 133 for t=200)
+        cases = [
+            (n, t, n_blind)
+            for n in (0, 7)
+            for t in (0, 63, 64, 65, 128, 129)
+            for n_blind in sorted({0, min(1, t), t})
+        ]
+        cases += [(7, 128, b) for b in (63, 64, 65)] + [(7, 129, b) for b in (64, 100)]
+        cases += [(5, 200, b) for b in (65, 66, 67, 132, 133, 134)]
+        for n, t, n_blind in cases:
+            q = rng.standard_normal((t, d))
+            k = rng.standard_normal((n + t, d))
+            v = rng.standard_normal((n + t, d))
+            fast = asymmetric_cross_attention(q, k, v, n_heads, n_blind)
+            assert fast.shape == (t, d)
+            mask = build_cross_mask(TokenLayout(n, n_blind, t - n_blind), True, False)
+            np.testing.assert_allclose(
+                fast, masked_attention_oracle(q, k, v, mask, n_heads), atol=1e-12,
+                err_msg=f"n={n} t={t} n_blind={n_blind}",
+            )
 
     def test_too_many_queries_rejected(self):
         with pytest.raises(ShapeError):

@@ -1,10 +1,12 @@
 """Engine tests: policy modes, the masked-oracle equivalences, decoupled KV,
 seeded init, and instrumented multiply-accumulate accounting."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from vica.attention import TokenLayout
+from vica.attention import FlowMask, TokenLayout, bottom_right_mask, masked_attention_oracle
 from vica.model import (
     MODEL_PRESETS,
     PDROP_EVENTS,
@@ -23,6 +25,8 @@ from vica.model import (
     precompute_visual_kv,
     schedule_preset,
     schedule_to_disabled_paths,
+    _baseline_layer,
+    _embed_text,
 )
 from vica.numerics import MacCounter, ShapeError
 
@@ -197,8 +201,44 @@ class TestMaskedOracleEquivalence:
         ve, te = toy_inputs(8)
         a = forward(w, ve, te, PolicySchedule.baseline(3))
         b = forward_baseline_masked_oracle(w, ve, te, ())
-        np.testing.assert_array_equal(a.logits, b.logits)
-        np.testing.assert_array_equal(a.vision_hidden, b.vision_hidden)
+        # the engine runs the causal kernel and the oracle its masked
+        # reference, so they agree to rounding, well inside EQUIV_TOL (1e-10)
+        assert np.abs(a.logits - b.logits).max() <= 1e-12
+        assert np.abs(a.vision_hidden - b.vision_hidden).max() <= 1e-12
+
+    @pytest.mark.parametrize("n,t", [(130, 70), (0, 130), (200, 129)])
+    def test_baseline_engine_matches_oracle_past_one_row_block(self, n, t):
+        # the engine's causal kernel splits 128+ query rows into row blocks
+        cfg = ModelConfig(n_layers=2, n_heads=2, d_model=8, d_ffn=16, vocab=13, max_seq=400)
+        w = init_model(cfg, seed=4)
+        ve, te = toy_inputs(n + t, n=n, t=t)
+        engine = forward(w, ve, te, PolicySchedule.baseline(2))
+        oracle = forward_baseline_masked_oracle(w, ve, te)
+        assert np.abs(engine.logits - oracle.logits).max() <= 1e-12
+        assert np.abs(engine.text_hidden - oracle.text_hidden).max() <= 1e-12
+        assert np.abs(engine.vision_hidden - oracle.vision_hidden).max(initial=0.0) <= 1e-12
+
+    def test_system_blind_baseline_matches_masked_oracle(self):
+        # system_reads_vision=False on BASELINE layers: the joint causal mask
+        # with rows [n, n + t_system) blind to the vision keys [:n]; the 130
+        # text rows form two row blocks and the 70 blind rows cross their edge
+        cfg = ModelConfig(n_layers=2, n_heads=2, d_model=8, d_ffn=16, vocab=13, max_seq=256)
+        w = init_model(cfg, seed=5)
+        n, layout = 40, TokenLayout(40, 70, 60)
+        ve, te = toy_inputs(24, n=n, t=layout.n_text)
+        engine = forward(w, ve, te, PolicySchedule.baseline(2), layout=layout,
+                         system_reads_vision=False)
+        allowed = bottom_right_mask(layout.total, layout.total)
+        allowed[n : n + layout.t_system, :n] = False
+        attend = partial(masked_attention_oracle, mask=FlowMask(allowed), n_heads=2)
+        h = np.vstack([ve, _embed_text(w, te, n)])
+        for lw in w.layers:
+            h = _baseline_layer(h, lw, attend, n)[2]
+        assert np.abs(engine.vision_hidden - h[:n]).max() <= 1e-12
+        assert np.abs(engine.text_hidden - h[n:]).max() <= 1e-12
+        # the blind rows do change the result
+        default = forward(w, ve, te, PolicySchedule.baseline(2), layout=layout)
+        assert np.abs(default.text_hidden - h[n:]).max() > 1e-6
 
     def test_disabling_all_writes_equals_freeze_vis(self):
         # the central claim: freezing is exactly "no writes ever land on vision"
@@ -418,6 +458,13 @@ class TestMacCounting:
             walked = count_forward_macs(cfg, TokenLayout(n, 0, t), sched, "fast")
             assert counter.macs == walked, f"n={n} t={t} layers={layers}"
 
+    def test_walker_validates_like_forward(self):
+        cfg = ModelConfig(2, 2, 8, 12, vocab=13, max_seq=64)
+        with pytest.raises(ConfigError, match="schedule covers 3 layers"):
+            count_forward_macs(cfg, TokenLayout(4, 0, 3), PolicySchedule.baseline(3))
+        with pytest.raises(ConfigError, match="max_seq"):
+            count_forward_macs(cfg, TokenLayout(600, 0, 3), PolicySchedule.baseline(2))
+
     def test_oracle_run_counts_like_baseline_engine(self):
         cfg = ModelConfig(n_layers=2, n_heads=2, d_model=8, d_ffn=12, vocab=13, max_seq=64)
         w = init_model(cfg, seed=0)
@@ -426,3 +473,26 @@ class TestMacCounting:
         forward(w, ve, te, PolicySchedule.baseline(2), counter=c1)
         forward_baseline_masked_oracle(w, ve, te, ["t2v_read@0"], counter=c2)
         assert c1.macs == c2.macs  # masking changes no shapes
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "entry,which",
+        [("forward", "vision"), ("forward", "text"), ("oracle", "vision"),
+         ("oracle", "text"), ("precompute", "vision"), ("fast", "text")],
+    )
+    def test_rejected_at_the_boundary(self, entry, which, bad):
+        w = init_model(TOY, seed=0)
+        ve, te = toy_inputs(25)
+        sched = PolicySchedule.sparse_cross(3, {0, 2})
+        kv = precompute_visual_kv(w, ve, sched)  # from the clean vision rows
+        (ve if which == "vision" else te)[1, 3] = bad
+        calls = {
+            "forward": lambda: forward(w, ve, te, sched),
+            "oracle": lambda: forward_baseline_masked_oracle(w, ve, te),
+            "precompute": lambda: precompute_visual_kv(w, ve, sched),
+            "fast": lambda: forward_vica_fast(w, kv, te, sched),
+        }
+        with pytest.raises(ConfigError, match=f"{which} embeddings hold NaN or inf"):
+            calls[entry]()
