@@ -13,9 +13,10 @@ reference for everything else. :func:`asymmetric_cross_attention` is the
 causal kernel of the engine and the fast path: it builds no
 :class:`FlowMask`, works a block of query rows at a time, forms no key tile
 past a block's last permitted key and applies the bottom-right rule (plus
-optional vision-blind rows) to the rest in place. The engine runs its joint
-``BASELINE`` layers on it too, as two calls: vision rows over vision keys,
-then text rows over all keys.
+optional vision-blind rows) to the rest in place. Every engine layer runs
+on it; a joint ``BASELINE`` layer as two calls of the one layer body: the
+vision rows as their own causal block (no prefix keys), then the text rows
+over all keys.
 """
 
 from __future__ import annotations

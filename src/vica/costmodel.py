@@ -14,7 +14,7 @@ text tokens (``t_system + t_question``), ``L = n + t``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import FROZEN_KV_MODES, KV_MODES, PolicyMode, PolicySchedule
 from .pruning import relocate_drop_events, resolve_schedule
@@ -31,7 +31,6 @@ class CostInputs:
     t_system: int = 35
     t_question: int = 20
     n_retained: int = 0
-    drop_schedule: dict[int, float] | None = None
 
     def __post_init__(self) -> None:
         if self.n_layers < 1 or self.d < 1 or self.m < 1:
@@ -161,8 +160,7 @@ def resolved_vision_counts(schedule: PolicySchedule, ci: CostInputs) -> list[int
         raise ValueError(
             f"schedule spans {schedule.n_layers} layers, cost inputs {ci.n_layers}"
         )
-    events = dict(ci.drop_schedule or {})
-    events.update(schedule.drop_events())
+    events = schedule.drop_events()
     if not events:
         return [ci.n] * schedule.n_layers
     exposing = [p.mode in KV_MODES for p in schedule.layers]

@@ -16,7 +16,6 @@ text rows around the attention block for ``t2v_read``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,9 +103,6 @@ class ImpactReport:
     def ranking(self) -> list[int]:
         """Layers ordered by KL descending; ties go to the lower layer."""
         return sorted(self.layers, key=lambda l: (-self.kl[l], l))
-
-    def rows(self) -> list[tuple[int, float, float]]:
-        return list(zip(self.layers, self.kl, self.one_minus_cos))
 
     def to_json_dict(self) -> dict:
         return {

@@ -13,21 +13,25 @@ layer carries a policy mode:
 * ``TEXT_ONLY``:  vision is neither written nor read; the layer is a plain
                   causal text block and does not project vision KV at all.
 
-A ``BASELINE`` layer runs its joint attention as two calls of the causal
-kernel :func:`~vica.attention.asymmetric_cross_attention`: the vision rows
-over the vision keys, then the text rows over every key. Every
-non-``BASELINE`` layer is one text layer: the text rows go through
-attention and the FFN, reading the layer's frozen vision keys/values (if the
-mode offers them) through the same kernel.
-Because frozen vision rows never change, those keys/values depend only on
-the input vision embeddings and the layer weights. :func:`forward` projects
-them layer by layer; :func:`precompute_visual_kv` projects them ahead of any
-text with the same code, and :func:`forward_vica_fast` runs the same text
-layer over them without ever materializing vision rows in its hidden state.
+Every layer of the engine and the fast path runs one layer body,
+:func:`_layer`: a block of rows goes through causal attention (the kernel
+:func:`~vica.attention.asymmetric_cross_attention`) and the FFN, reading
+read-only prefix keys/values if it is given any. The text rows are such a
+block in every mode, reading the layer's vision keys/values if the mode
+offers them. Because no vision query ever sees a text key, a joint
+``BASELINE`` layer factorises exactly into two calls of that body: the
+vision rows as their own causal block, then the text rows over the vision
+rows' keys/values from the first call. A frozen layer is the second call
+alone. Because frozen vision rows never change, their keys/values depend
+only on the input vision embeddings and the layer weights. :func:`forward`
+projects them layer by layer; :func:`precompute_visual_kv` projects them
+ahead of any text with the same code, and :func:`forward_vica_fast` runs the
+same layer body over them without ever materializing vision rows in its
+hidden state. Everything computes in the dtype of the weights and inputs.
 
 :func:`forward_baseline_masked_oracle` is the referee for all of this,
-``BASELINE`` layers included. It shares only the projections, residuals and
-FFN of the joint layer with the engine; its attention is
+``BASELINE`` layers included. It shares only the norm, projections and FFN
+kernels with the engine; its attention is
 :func:`~vica.attention.masked_attention_oracle` over the full square score
 matrix under an explicit :class:`~vica.attention.FlowMask`. It reproduces the
 policy modes purely by disabling write/read paths (zeroed residual slices,
@@ -38,10 +42,8 @@ checks.
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -131,13 +133,6 @@ class PolicySchedule:
     @property
     def n_layers(self) -> int:
         return len(self.layers)
-
-    def modes(self) -> list[PolicyMode]:
-        return [p.mode for p in self.layers]
-
-    def vision_kv_layers(self) -> list[int]:
-        """Layers whose attention offers vision keys/values to text."""
-        return [l for l, p in enumerate(self.layers) if p.mode in KV_MODES]
 
     def frozen_vision_layers(self) -> list[int]:
         """Layers with frozen, precomputable vision KV."""
@@ -442,25 +437,23 @@ def _embed_text(weights: Weights, text_emb: np.ndarray, n_vision: int) -> np.nda
 def _baseline_layer(
     h: np.ndarray,
     lw: LayerWeights,
-    attend: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    mask: FlowMask,
+    n_heads: int,
     n_vision: int,
     *,
     vis_attn_write: bool = True,
     vis_ffn_write: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One joint self-attention layer; flags carve out the vision write paths.
+    """The referee's joint layer: masked attention over the whole stream.
 
-    ``attend(q, k, v)`` is the layer's multi-head attention over the whole
-    stream, and the caller's choice: the engine passes
-    :func:`_joint_causal_attention`, the masked oracle passes
-    :func:`masked_attention_oracle` under its flow mask.
+    Flags carve out the vision write paths.
     Returns (h_pre, h_post_attn, h_post_ffn); h_pre aliases the input.
     """
     x = rms_norm(h, lw.attn_gain)
     q = matmul(x, lw.wq)
     k = matmul(x, lw.wk)
     v = matmul(x, lw.wv)
-    delta = matmul(attend(q, k, v), lw.wo)
+    delta = matmul(masked_attention_oracle(q, k, v, mask, n_heads), lw.wo)
     if not vis_attn_write:
         delta[:n_vision] = 0.0
     h_attn = h + delta
@@ -470,59 +463,35 @@ def _baseline_layer(
     return h, h_attn, h_attn + f
 
 
-def _joint_causal_attention(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    n_heads: int,
-    n_vision: int,
-    n_blind: int = 0,
-) -> np.ndarray:
-    """Causal attention over a [vision; text] stream as two kernel calls.
-
-    The vision rows attend to the vision keys (plain causal); the text rows
-    attend to every key under the bottom-right rule, the first ``n_blind`` of
-    them without the vision keys. Neither call forms a masked key tile.
-    """
-    total, d = q.shape
-    out = np.vstack([
-        asymmetric_cross_attention(q[:n_vision], k[:n_vision], v[:n_vision], n_heads),
-        asymmetric_cross_attention(q[n_vision:], k, v, n_heads, n_blind),
-    ])
-    # The kernels credit the causal d * L * (L + 1) MACs, but the cost model
-    # charges the dense baseline 2 * d * L^2 (ROADMAP item 2(a)): credit the
-    # masked d * L * (L - 1) here, so the engine counts what the model charges.
-    add_macs(d * total * (total - 1))
-    return out
-
-
 def _vision_kv(v_rows: np.ndarray, lw: LayerWeights) -> tuple[np.ndarray, np.ndarray]:
     """Keys and values of frozen vision rows at one layer; reads no text."""
     xv = rms_norm(v_rows, lw.attn_gain)
     return matmul(xv, lw.wk), matmul(xv, lw.wv)
 
 
-def _text_layer(
-    t_rows: np.ndarray,
+def _layer(
+    rows: np.ndarray,
     lw: LayerWeights,
     n_heads: int,
-    vision_kv: tuple[np.ndarray, np.ndarray] | None = None,
+    prefix_kv: tuple[np.ndarray, np.ndarray] | None = None,
     n_blind: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Text-updating layer over read-only vision KV (or none).
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """One causal layer over ``rows``, reading read-only prefix KV if given.
 
-    The text rows attend to ``[vision keys; text keys]`` under the
-    bottom-right rule, the first ``n_blind`` of them without the vision keys.
-    Returns (t_post_attn, t_post_ffn).
+    The rows attend to ``[prefix keys; own keys]`` under the bottom-right
+    rule, the first ``n_blind`` of them without the prefix keys.
+    Returns (post_attn, post_ffn, (k, v)), the last being the rows' own
+    keys and values, which later rows of a ``BASELINE`` layer read.
     """
-    xt = rms_norm(t_rows, lw.attn_gain)
-    q, k, v = matmul(xt, lw.wq), matmul(xt, lw.wk), matmul(xt, lw.wv)
-    if vision_kv is not None:
-        k, v = np.vstack([vision_kv[0], k]), np.vstack([vision_kv[1], v])
-    attn = asymmetric_cross_attention(q, k, v, n_heads, n_blind)
-    t_attn = t_rows + matmul(attn, lw.wo)
-    t_ffn = t_attn + gated_ffn(rms_norm(t_attn, lw.ffn_gain), lw.w_gate, lw.w_up, lw.w_down)
-    return t_attn, t_ffn
+    x = rms_norm(rows, lw.attn_gain)
+    q, k, v = matmul(x, lw.wq), matmul(x, lw.wk), matmul(x, lw.wv)
+    k_all, v_all = k, v
+    if prefix_kv is not None:
+        k_all, v_all = np.vstack([prefix_kv[0], k]), np.vstack([prefix_kv[1], v])
+    attn = asymmetric_cross_attention(q, k_all, v_all, n_heads, n_blind)
+    r_attn = rows + matmul(attn, lw.wo)
+    r_ffn = r_attn + gated_ffn(rms_norm(r_attn, lw.ffn_gain), lw.w_gate, lw.w_up, lw.w_down)
+    return r_attn, r_ffn, (k, v)
 
 
 def _score_and_drop(
@@ -571,8 +540,8 @@ def forward(
     drop_targets = _resolved_drop_targets(schedule, n0)
     n_blind = 0 if system_reads_vision else layout.t_system
 
-    v_rows = np.array(vision_emb, dtype=float, copy=True)
-    t_rows = _embed_text(weights, np.asarray(text_emb, dtype=float), n0)
+    v_rows = np.array(vision_emb, copy=True)
+    t_rows = _embed_text(weights, np.asarray(text_emb), n0)
     trace: list[LayerTrace] | None = [] if record_trace else None
 
     with count_macs(counter):
@@ -587,38 +556,33 @@ def forward(
                     v_rows = v_rows[kept]
             n_cur = v_rows.shape[0]
 
+            # No vision query sees a text key, so a joint layer is the vision
+            # rows' own causal layer plus the text layer over their KV.
+            v_attn = v_ffn = v_rows
+            vision_kv = None
             if pol.mode is PolicyMode.BASELINE:
-                h = np.vstack([v_rows, t_rows])
-                attend = partial(
-                    _joint_causal_attention,
-                    n_heads=cfg.n_heads, n_vision=n_cur, n_blind=n_blind,
-                )
-                h_pre, h_attn, h_ffn = _baseline_layer(h, lw, attend, n_cur)
-                v_rows, t_rows = h_ffn[:n_cur], h_ffn[n_cur:]
-                snap = (h_pre, h_attn, h_ffn)
-            else:
-                vision_kv = None
-                if pol.mode in FROZEN_KV_MODES and n_cur > 0:
-                    vision_kv = _vision_kv(v_rows, lw)
-                t_attn, t_ffn = _text_layer(t_rows, lw, cfg.n_heads, vision_kv, n_blind)
-                if record_trace:
-                    snap = (
-                        np.vstack([v_rows, t_rows]),
-                        np.vstack([v_rows, t_attn]),
-                        np.vstack([v_rows, t_ffn]),
-                    )
-                t_rows = t_ffn
+                v_attn, v_ffn, vision_kv = _layer(v_rows, lw, cfg.n_heads)
+                # The kernels credit the causal d * L * (L + 1) MACs, but the
+                # cost model charges the dense baseline 2 * d * L^2 (ROADMAP
+                # item 2(a)): credit the masked d * L * (L - 1) here, so the
+                # engine counts what the model charges.
+                total = n_cur + t
+                add_macs(cfg.d_model * total * (total - 1))
+            elif pol.mode in FROZEN_KV_MODES and n_cur > 0:
+                vision_kv = _vision_kv(v_rows, lw)
+            t_attn, t_ffn, _ = _layer(t_rows, lw, cfg.n_heads, vision_kv, n_blind)
 
             if record_trace:
                 trace.append(
                     LayerTrace(
                         layer=l, mode=pol.mode, n_vision_in=n_in, n_vision_out=n_cur,
                         kept=kept,
-                        h_pre_attn=np.array(snap[0], copy=True),
-                        h_post_attn=np.array(snap[1], copy=True),
-                        h_post_ffn=np.array(snap[2], copy=True),
+                        h_pre_attn=np.vstack([v_rows, t_rows]),
+                        h_post_attn=np.vstack([v_attn, t_attn]),
+                        h_post_ffn=np.vstack([v_ffn, t_ffn]),
                     )
                 )
+            v_rows, t_rows = v_ffn, t_ffn
 
         logits = matmul(rms_norm(t_rows, weights.out_gain), weights.w_out)
     return ForwardResult(v_rows, t_rows, logits, trace)
@@ -648,9 +612,7 @@ def forward_baseline_masked_oracle(
         kind, layer = parse_path(spec, cfg.n_layers)
         disabled.setdefault(layer, set()).add(kind)
 
-    h = np.vstack(
-        [np.asarray(vision_emb, dtype=float), _embed_text(weights, np.asarray(text_emb, dtype=float), n)]
-    )
+    h = np.vstack([np.asarray(vision_emb), _embed_text(weights, np.asarray(text_emb), n)])
     causal = bottom_right_mask(n + t, n + t)
     no_t2v = causal.copy()
     no_t2v[n:, :n] = False
@@ -659,9 +621,8 @@ def forward_baseline_masked_oracle(
         for l in range(cfg.n_layers):
             off = disabled.get(l, set())
             mask = FlowMask(no_t2v if "t2v_read" in off else causal)
-            attend = partial(masked_attention_oracle, mask=mask, n_heads=cfg.n_heads)
             h_pre, h_attn, h_ffn = _baseline_layer(
-                h, weights.layers[l], attend, n,
+                h, weights.layers[l], mask, cfg.n_heads, n,
                 vis_attn_write="vis_attn_write" not in off,
                 vis_ffn_write="vis_ffn_write" not in off,
             )
@@ -711,7 +672,7 @@ def precompute_visual_kv(
     cfg = weights.config
     _check_schedule(cfg, schedule)
     n = _check_rows("vision", vision_emb, cfg.d_model)
-    vision_emb = np.asarray(vision_emb, dtype=float)
+    vision_emb = np.asarray(vision_emb)
     with count_macs(counter):
         entries = {
             l: _vision_kv(vision_emb, weights.layers[l])
@@ -734,13 +695,13 @@ def forward_vica_fast(
     text_emb: np.ndarray,
     schedule: PolicySchedule,
     *,
-    record_trace: bool = False,
     counter=None,
 ) -> ForwardResult:
     """Text-only pipeline attending into precomputed vision KV.
 
     Vision rows never enter the hidden state; every layer runs the engine's
-    text layer, reading the precomputed vision KV at retaining layers.
+    layer body over the text rows, reading the precomputed vision KV at
+    retaining layers.
     Fixed-shape by construction: schedules with drop events or ``BASELINE``
     layers are rejected.
     """
@@ -758,27 +719,15 @@ def forward_vica_fast(
         if k_vis.shape != (kv.n_vision, cfg.d_model) or v_vis.shape != k_vis.shape:
             raise ConfigError(f"kv entry at layer {l} has shape {k_vis.shape}")
 
-    t_rows = _embed_text(weights, np.asarray(text_emb, dtype=float), kv.n_vision)
-    trace: list[LayerTrace] | None = [] if record_trace else None
+    t_rows = _embed_text(weights, np.asarray(text_emb), kv.n_vision)
     with count_macs(counter):
         for l, pol in enumerate(schedule.layers):
             vision_kv = None
             if pol.mode in FROZEN_KV_MODES and kv.n_vision > 0:
                 vision_kv = kv.entries[l]
-            t_pre = t_rows
-            t_attn, t_rows = _text_layer(t_rows, weights.layers[l], cfg.n_heads, vision_kv)
-            if record_trace:
-                trace.append(
-                    LayerTrace(
-                        layer=l, mode=pol.mode,
-                        n_vision_in=kv.n_vision, n_vision_out=kv.n_vision, kept=None,
-                        h_pre_attn=np.array(t_pre, copy=True),
-                        h_post_attn=np.array(t_attn, copy=True),
-                        h_post_ffn=np.array(t_rows, copy=True),
-                    )
-                )
+            t_rows = _layer(t_rows, weights.layers[l], cfg.n_heads, vision_kv)[1]
         logits = matmul(rms_norm(t_rows, weights.out_gain), weights.w_out)
-    return ForwardResult(None, t_rows, logits, trace)
+    return ForwardResult(None, t_rows, logits, None)
 
 
 # ---------------------------------------------------------------------------
@@ -801,15 +750,14 @@ def count_forward_macs(
     schedule: PolicySchedule,
     path: str = "engine",
     *,
-    include_logits: bool = True,
     include_kv_precompute: bool = True,
 ) -> int:
     """Exact MAC count the instrumented forward would report, from shapes only.
 
     ``path='engine'`` mirrors :func:`forward`; ``path='fast'`` mirrors
     :func:`precompute_visual_kv` + :func:`forward_vica_fast` and rejects the
-    schedules the fast path rejects. Both paths run non-``BASELINE`` layers
-    through the same text layer, so they count them alike;
+    schedules the fast path rejects. Every layer of both paths runs the one
+    layer body :func:`_layer`, so one formula counts them all;
     ``include_kv_precompute=False`` leaves the fast path's vision KV
     projections out. The counts are validated against live counters in the
     test suite and exist so preset geometries can be accounted without
@@ -826,6 +774,11 @@ def count_forward_macs(
         _check_fast_schedule(schedule)
     drop_targets = _resolved_drop_targets(schedule, layout.n_vision)
 
+    def layer(rows: int, n_prefix: int) -> int:
+        # q/k/v/o projections, FFN, causal attention over the prefix keys
+        # plus the rows' own keys (scores + value mix)
+        return 4 * rows * d * d + 3 * rows * d * m + d * rows * (2 * n_prefix + rows + 1)
+
     macs = 0
     for l, pol in enumerate(schedule.layers):
         if drop_targets is not None and l in drop_targets and drop_targets[l] < n_cur:
@@ -834,15 +787,12 @@ def count_forward_macs(
             n_cur = drop_targets[l]
         n = n_cur
         if pol.mode is PolicyMode.BASELINE:
-            total = n + t
-            macs += 4 * total * d * d + 2 * total * total * d + 3 * total * d * m
-            continue
-        # text layer: projections, FFN, causal text-key attention (scores + mix)
-        macs += 4 * t * d * d + 3 * t * d * m + t * (t + 1) * d
-        if pol.mode in FROZEN_KV_MODES and n > 0:
-            macs += 2 * t * n * d  # every text row reads all n vision keys
+            # plus the masked d * L * (L - 1) that forward credits
+            macs += layer(n, 0) + layer(t, n) + d * (n + t) * (n + t - 1)
+        elif pol.mode in FROZEN_KV_MODES:
+            macs += layer(t, n)
             if path == "engine" or include_kv_precompute:
                 macs += 2 * n * d * d
-    if include_logits:
-        macs += t * d * config.vocab
-    return macs
+        else:
+            macs += layer(t, 0)
+    return macs + t * d * config.vocab

@@ -1,17 +1,16 @@
 """Engine tests: policy modes, the masked-oracle equivalences, decoupled KV,
 seeded init, and instrumented multiply-accumulate accounting."""
 
-from functools import partial
-
 import numpy as np
 import pytest
 
-from vica.attention import FlowMask, TokenLayout, bottom_right_mask, masked_attention_oracle
+from vica.attention import FlowMask, TokenLayout, bottom_right_mask
 from vica.model import (
     MODEL_PRESETS,
     PDROP_EVENTS,
     RETAINED_LAYERS,
     ConfigError,
+    LayerPolicy,
     ModelConfig,
     PolicyMode,
     PolicySchedule,
@@ -37,6 +36,15 @@ TOY = ModelConfig(n_layers=3, n_heads=2, d_model=8, d_ffn=16, vocab=13, max_seq=
 def toy_inputs(seed, n=5, t=4, d=8):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, d)), rng.standard_normal((t, d))
+
+
+MODE_LETTERS = {"B": PolicyMode.BASELINE, "F": PolicyMode.FREEZE_VIS, "T": PolicyMode.TEXT_ONLY}
+
+
+def mixed_schedule(letters, drops=None):
+    """Schedule from one mode letter per layer (B, F, T)."""
+    sched = PolicySchedule(tuple(LayerPolicy(MODE_LETTERS[c]) for c in letters))
+    return sched.with_drops(drops) if drops else sched
 
 
 class TestConfigAndPresets:
@@ -230,15 +238,29 @@ class TestMaskedOracleEquivalence:
                          system_reads_vision=False)
         allowed = bottom_right_mask(layout.total, layout.total)
         allowed[n : n + layout.t_system, :n] = False
-        attend = partial(masked_attention_oracle, mask=FlowMask(allowed), n_heads=2)
         h = np.vstack([ve, _embed_text(w, te, n)])
         for lw in w.layers:
-            h = _baseline_layer(h, lw, attend, n)[2]
+            h = _baseline_layer(h, lw, FlowMask(allowed), 2, n)[2]
         assert np.abs(engine.vision_hidden - h[:n]).max() <= 1e-12
         assert np.abs(engine.text_hidden - h[n:]).max() <= 1e-12
         # the blind rows do change the result
         default = forward(w, ve, te, PolicySchedule.baseline(2), layout=layout)
         assert np.abs(default.text_hidden - h[n:]).max() > 1e-6
+
+    @pytest.mark.parametrize("n", [0, 5, 9])
+    @pytest.mark.parametrize("letters", ["BFBT", "FBTB", "TBBF"])
+    def test_mixed_schedule_matches_oracle(self, letters, n):
+        # layers switch between joint, frozen and text-only: a frozen layer
+        # exposes the vision rows the last BASELINE layer wrote, and a
+        # BASELINE layer updates rows earlier layers left untouched
+        cfg = ModelConfig(n_layers=4, n_heads=2, d_model=8, d_ffn=16, vocab=13, max_seq=64)
+        w = init_model(cfg, seed=6)
+        ve, te = toy_inputs(30 + n, n=n, t=4)
+        sched = mixed_schedule(letters)
+        engine = forward(w, ve, te, sched)
+        oracle = forward_baseline_masked_oracle(w, ve, te, schedule_to_disabled_paths(sched))
+        assert np.abs(engine.logits - oracle.logits).max() <= 1e-12
+        assert np.abs(engine.vision_hidden - oracle.vision_hidden).max(initial=0.0) <= 1e-12
 
     def test_disabling_all_writes_equals_freeze_vis(self):
         # the central claim: freezing is exactly "no writes ever land on vision"
@@ -423,6 +445,8 @@ class TestMacCounting:
         ("freeze", PolicySchedule.freeze_vis),
         ("textonly", PolicySchedule.text_only),
         ("sparse", lambda L: PolicySchedule.sparse_cross(L, {0, L - 1})),
+        ("baseline+pdrop",
+         lambda L: PolicySchedule.baseline(L).with_drops(pdrop_baseline_events(L))),
     ]
 
     @pytest.mark.parametrize("name,make", GRID)
@@ -440,11 +464,17 @@ class TestMacCounting:
         cfg = ModelConfig(n_layers=4, n_heads=2, d_model=8, d_ffn=12, vocab=13, max_seq=64)
         w = init_model(cfg, seed=0)
         ve, te = toy_inputs(21, n=8, t=3)
-        sched = PolicySchedule.freeze_vis(4).with_drops({1: 0.5, 3: 0.5})
-        counter = MacCounter()
-        forward(w, ve, te, sched, counter=counter)
-        walked = count_forward_macs(cfg, TokenLayout(8, 0, 3), sched, "engine")
-        assert counter.macs == walked
+        for sched in [
+            PolicySchedule.freeze_vis(4).with_drops({1: 0.5, 3: 0.5}),
+            # drops at a BASELINE layer and at a frozen one
+            mixed_schedule("BFBT", {1: 0.5, 2: 0.5}),
+            # a BASELINE layer that keeps no vision row still runs both halves
+            mixed_schedule("BBFB", {1: 0.0}),
+        ]:
+            counter = MacCounter()
+            forward(w, ve, te, sched, counter=counter)
+            walked = count_forward_macs(cfg, TokenLayout(8, 0, 3), sched, "engine")
+            assert counter.macs == walked, sched
 
     def test_fast_walker_matches_live_counter(self):
         for n, t, layers in [(0, 3, 2), (4, 3, 2), (6, 2, 4)]:
@@ -473,6 +503,27 @@ class TestMacCounting:
         forward(w, ve, te, PolicySchedule.baseline(2), counter=c1)
         forward_baseline_masked_oracle(w, ve, te, ["t2v_read@0"], counter=c2)
         assert c1.macs == c2.macs  # masking changes no shapes
+
+
+class TestFloat32:
+    def test_float32_inputs_compute_in_float32(self):
+        w64 = init_model(TOY, seed=0)
+        w32 = w64.astype(np.float32)
+        ve, te = toy_inputs(27)
+        ve32, te32 = ve.astype(np.float32), te.astype(np.float32)
+        sparse = PolicySchedule.sparse_cross(3, {0, 2})
+        kv = precompute_visual_kv(w32, ve32, sparse)
+        assert {a.dtype for pair in kv.entries.values() for a in pair} == {np.dtype(np.float32)}
+        fast = forward_vica_fast(w32, kv, te32, sparse)
+        oracle = forward_baseline_masked_oracle(w32, ve32, te32)
+        assert fast.logits.dtype == np.float32 and oracle.logits.dtype == np.float32
+        for sched in [PolicySchedule.baseline(3), mixed_schedule("BFT", {1: 0.5}), sparse]:
+            r32 = forward(w32, ve32, te32, sched)
+            r64 = forward(w64, ve, te, sched)
+            assert r32.logits.dtype == np.float32
+            assert r32.vision_hidden.dtype == np.float32
+            # float32 rounding (eps 1.2e-7) through three layers at toy scale
+            assert np.abs(r32.logits - r64.logits).max() <= 1e-4
 
 
 class TestNonFiniteInputs:
