@@ -15,8 +15,9 @@ causal kernel of the engine and the fast path: it builds no
 past a block's last permitted key and applies the bottom-right rule (plus
 optional vision-blind rows) to the rest in place. Every engine layer runs
 on it; a joint ``BASELINE`` layer as two calls of the one layer body: the
-vision rows as their own causal block (no prefix keys), then the text rows
-over all keys.
+text rows over all keys, then the vision rows as their own causal block (no
+prefix keys). :func:`attention_weights` gives head-averaged attention
+weights under a mask; the engine scores vision-token drops with it.
 """
 
 from __future__ import annotations
@@ -180,10 +181,14 @@ def attention_weights(
     mask: FlowMask,
     n_heads: int,
 ) -> np.ndarray:
-    """Head-averaged attention-weight matrix under ``mask`` (no value mix)."""
+    """Head-averaged attention-weight matrix under ``mask`` (no value mix).
+
+    Accumulates in the dtype of ``q`` and ``k``. The engine calls it with one
+    query row, the last text row of a drop layer.
+    """
     d_head = q.shape[1] // n_heads
     scale = 1.0 / math.sqrt(d_head)
-    acc = np.zeros(mask.allowed.shape)
+    acc = np.zeros(mask.allowed.shape, dtype=np.result_type(q, k))
     for q_h, k_h in zip(split_heads(q, n_heads), split_heads(k, n_heads)):
         scores = matmul(q_h, k_h.T)
         acc += row_softmax(scores, mask.allowed, scale)

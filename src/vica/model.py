@@ -16,18 +16,20 @@ layer carries a policy mode:
 Every layer of the engine and the fast path runs one layer body,
 :func:`_layer`: a block of rows goes through causal attention (the kernel
 :func:`~vica.attention.asymmetric_cross_attention`) and the FFN, reading
-read-only prefix keys/values if it is given any. The text rows are such a
-block in every mode, reading the layer's vision keys/values if the mode
-offers them. Because no vision query ever sees a text key, a joint
-``BASELINE`` layer factorises exactly into two calls of that body: the
-vision rows as their own causal block, then the text rows over the vision
-rows' keys/values from the first call. A frozen layer is the second call
-alone. Because frozen vision rows never change, their keys/values depend
-only on the input vision embeddings and the layer weights. :func:`forward`
-projects them layer by layer; :func:`precompute_visual_kv` projects them
-ahead of any text with the same code, and :func:`forward_vica_fast` runs the
-same layer body over them without ever materializing vision rows in its
-hidden state. Everything computes in the dtype of the weights and inputs.
+read-only prefix keys/values if it is given any. The text rows go first in
+every layer, as such a block over the keys/values of the vision rows
+entering the layer in every mode of ``KV_MODES``; :func:`_vision_kv`
+projects them, as it does for :func:`precompute_visual_kv`. A drop event is
+scored inside that call, from the last text row's attention. Because no
+vision query ever sees a text key, a joint ``BASELINE`` layer factorises
+exactly: the surviving vision rows then run the same body as their own
+causal block over those keys/values. Frozen vision rows never change, so
+their keys/values depend only on the input vision embeddings and the layer
+weights: :func:`precompute_visual_kv` projects them ahead of any text, and
+:func:`forward_vica_fast` runs the same layer body over them without ever
+materializing vision rows in its hidden state. Each row's keys and values
+are projected once per layer; everything computes in the dtype of the
+weights and inputs.
 
 :func:`forward_baseline_masked_oracle` is the referee for all of this,
 ``BASELINE`` layers included. It shares only the norm, projections and FFN
@@ -53,7 +55,6 @@ from .attention import (
     asymmetric_cross_attention,
     attention_weights,
     bottom_right_mask,
-    build_cross_mask,
     masked_attention_oracle,
 )
 from .numerics import ShapeError, add_macs, count_macs, gated_ffn, matmul, rms_norm
@@ -464,7 +465,7 @@ def _baseline_layer(
 
 
 def _vision_kv(v_rows: np.ndarray, lw: LayerWeights) -> tuple[np.ndarray, np.ndarray]:
-    """Keys and values of frozen vision rows at one layer; reads no text."""
+    """Keys and values of the vision rows entering one layer; reads no text."""
     xv = rms_norm(v_rows, lw.attn_gain)
     return matmul(xv, lw.wk), matmul(xv, lw.wv)
 
@@ -475,41 +476,37 @@ def _layer(
     n_heads: int,
     prefix_kv: tuple[np.ndarray, np.ndarray] | None = None,
     n_blind: int = 0,
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    keep: int | None = None,
+    kv: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """One causal layer over ``rows``, reading read-only prefix KV if given.
 
     The rows attend to ``[prefix keys; own keys]`` under the bottom-right
-    rule, the first ``n_blind`` of them without the prefix keys.
-    Returns (post_attn, post_ffn, (k, v)), the last being the rows' own
-    keys and values, which later rows of a ``BASELINE`` layer read.
+    rule, the first ``n_blind`` of them without the prefix keys. ``kv`` holds
+    the rows' own keys and values if the caller has projected them already.
+    A ``keep`` below the prefix length cuts the prefix first to the ``keep``
+    rows the last row attends to most, head-averaged over ``[prefix keys;
+    own keys]`` (PyramidDrop's rule; ``n_blind`` plays no part).
+    Returns (post_attn, post_ffn, kept), ``kept`` being the sorted indices
+    of the surviving prefix rows, or None when nothing was cut.
     """
     x = rms_norm(rows, lw.attn_gain)
-    q, k, v = matmul(x, lw.wq), matmul(x, lw.wk), matmul(x, lw.wv)
-    k_all, v_all = k, v
+    q = matmul(x, lw.wq)
+    k, v = kv if kv is not None else (matmul(x, lw.wk), matmul(x, lw.wv))
+    kept = None
     if prefix_kv is not None:
-        k_all, v_all = np.vstack([prefix_kv[0], k]), np.vstack([prefix_kv[1], v])
-    attn = asymmetric_cross_attention(q, k_all, v_all, n_heads, n_blind)
+        k_pre, v_pre = prefix_kv
+        n_pre = k_pre.shape[0]
+        if keep is not None and keep < n_pre:
+            last_row = FlowMask(np.ones((1, n_pre + k.shape[0]), dtype=bool))
+            w = attention_weights(q[-1:], np.vstack([k_pre, k]), last_row, n_heads)
+            kept = select_kept_tokens(w[:, :n_pre], keep)
+            k_pre, v_pre = k_pre[kept], v_pre[kept]
+        k, v = np.vstack([k_pre, k]), np.vstack([v_pre, v])
+    attn = asymmetric_cross_attention(q, k, v, n_heads, n_blind)
     r_attn = rows + matmul(attn, lw.wo)
     r_ffn = r_attn + gated_ffn(rms_norm(r_attn, lw.ffn_gain), lw.w_gate, lw.w_up, lw.w_down)
-    return r_attn, r_ffn, (k, v)
-
-
-def _score_and_drop(
-    v_rows: np.ndarray,
-    t_rows: np.ndarray,
-    lw: LayerWeights,
-    n_heads: int,
-    target: int,
-) -> np.ndarray:
-    """Rank vision tokens by this layer's text attention; return kept indices."""
-    n, t = v_rows.shape[0], t_rows.shape[0]
-    xv = rms_norm(v_rows, lw.attn_gain)
-    xt = rms_norm(t_rows, lw.attn_gain)
-    qt = matmul(xt, lw.wq)
-    k = np.vstack([matmul(xv, lw.wk), matmul(xt, lw.wk)])
-    mask = build_cross_mask(TokenLayout(n, 0, t))
-    weights_tv = attention_weights(qt, k, mask, n_heads)[:, :n]
-    return select_kept_tokens(weights_tv, target)
+    return r_attn, r_ffn, kept
 
 
 def forward(
@@ -548,29 +545,27 @@ def forward(
         for l, pol in enumerate(schedule.layers):
             lw = weights.layers[l]
             n_in = v_rows.shape[0]
-            kept = None
-            if drop_targets is not None and l in drop_targets:
-                target = drop_targets[l]
-                if target < n_in:
-                    kept = _score_and_drop(v_rows, t_rows, lw, cfg.n_heads, target)
-                    v_rows = v_rows[kept]
+            vision_kv = _vision_kv(v_rows, lw) if pol.mode in KV_MODES else None
+            t_attn, t_ffn, kept = _layer(
+                t_rows, lw, cfg.n_heads, vision_kv, n_blind, drop_targets.get(l)
+            )
+            if kept is not None:
+                v_rows = v_rows[kept]
             n_cur = v_rows.shape[0]
 
-            # No vision query sees a text key, so a joint layer is the vision
-            # rows' own causal layer plus the text layer over their KV.
+            # No vision query sees a text key, so a joint layer is the text
+            # layer plus the vision rows' own causal layer over the same KV.
             v_attn = v_ffn = v_rows
-            vision_kv = None
             if pol.mode is PolicyMode.BASELINE:
-                v_attn, v_ffn, vision_kv = _layer(v_rows, lw, cfg.n_heads)
+                if kept is not None:
+                    vision_kv = (vision_kv[0][kept], vision_kv[1][kept])
+                v_attn, v_ffn, _ = _layer(v_rows, lw, cfg.n_heads, kv=vision_kv)
                 # The kernels credit the causal d * L * (L + 1) MACs, but the
                 # cost model charges the dense baseline 2 * d * L^2 (ROADMAP
-                # item 2(a)): credit the masked d * L * (L - 1) here, so the
-                # engine counts what the model charges.
+                # item 1, gap (a)): credit the masked d * L * (L - 1) here, so
+                # the engine counts what the model charges.
                 total = n_cur + t
                 add_macs(cfg.d_model * total * (total - 1))
-            elif pol.mode in FROZEN_KV_MODES and n_cur > 0:
-                vision_kv = _vision_kv(v_rows, lw)
-            t_attn, t_ffn, _ = _layer(t_rows, lw, cfg.n_heads, vision_kv, n_blind)
 
             if record_trace:
                 trace.append(
@@ -722,10 +717,7 @@ def forward_vica_fast(
     t_rows = _embed_text(weights, np.asarray(text_emb), kv.n_vision)
     with count_macs(counter):
         for l, pol in enumerate(schedule.layers):
-            vision_kv = None
-            if pol.mode in FROZEN_KV_MODES and kv.n_vision > 0:
-                vision_kv = kv.entries[l]
-            t_rows = _layer(t_rows, weights.layers[l], cfg.n_heads, vision_kv)[1]
+            t_rows = _layer(t_rows, weights.layers[l], cfg.n_heads, kv.entries.get(l))[1]
         logits = matmul(rms_norm(t_rows, weights.out_gain), weights.w_out)
     return ForwardResult(None, t_rows, logits, None)
 
@@ -734,10 +726,8 @@ def forward_vica_fast(
 # multiply-accumulate accounting
 
 
-def _resolved_drop_targets(schedule: PolicySchedule, n_vision: int) -> dict[int, int] | None:
-    """Per-layer vision-count targets for the schedule's drop events, if any."""
-    if not schedule.has_drops():
-        return None
+def _resolved_drop_targets(schedule: PolicySchedule, n_vision: int) -> dict[int, int]:
+    """Per-layer vision-count targets for the schedule's drop events."""
     exposing = [p.mode in KV_MODES for p in schedule.layers]
     events = relocate_drop_events(schedule.drop_events(), exposing)
     counts = resolve_schedule(events, n_vision, schedule.n_layers)
@@ -769,7 +759,6 @@ def count_forward_macs(
     _check_stream(config, layout.n_vision, layout.n_text)
     d, m = config.d_model, config.d_ffn
     t = layout.n_text
-    n_cur = layout.n_vision
     if path == "fast":
         _check_fast_schedule(schedule)
     drop_targets = _resolved_drop_targets(schedule, layout.n_vision)
@@ -780,19 +769,22 @@ def count_forward_macs(
         return 4 * rows * d * d + 3 * rows * d * m + d * rows * (2 * n_prefix + rows + 1)
 
     macs = 0
+    n = layout.n_vision
     for l, pol in enumerate(schedule.layers):
-        if drop_targets is not None and l in drop_targets and drop_targets[l] < n_cur:
-            # scoring pass: q/k projections plus score rows, no value mix
-            macs += 2 * t * d * d + n_cur * d * d + t * (n_cur + t) * d
-            n_cur = drop_targets[l]
-        n = n_cur
-        if pol.mode is PolicyMode.BASELINE:
-            # plus the masked d * L * (L - 1) that forward credits
-            macs += layer(n, 0) + layer(t, n) + d * (n + t) * (n + t - 1)
-        elif pol.mode in FROZEN_KV_MODES:
-            macs += layer(t, n)
-            if path == "engine" or include_kv_precompute:
-                macs += 2 * n * d * d
-        else:
+        n_in = n
+        if drop_targets.get(l, n_in) < n_in:
+            # the last text row's scores over [vision keys; text keys]
+            macs += d * (n_in + t)
+            n = drop_targets[l]
+        if pol.mode not in KV_MODES:
             macs += layer(t, 0)
+            continue
+        macs += layer(t, n)
+        # layer-entry vision KV, dropped rows included
+        if path == "engine" or include_kv_precompute:
+            macs += 2 * n_in * d * d
+        if pol.mode is PolicyMode.BASELINE:
+            # the vision rows' own layer over that KV (no k/v projection),
+            # plus the masked d * L * (L - 1) that forward credits
+            macs += layer(n, 0) - 2 * n * d * d + d * (n + t) * (n + t - 1)
     return macs + t * d * config.vocab

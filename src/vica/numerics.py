@@ -10,8 +10,9 @@ temporaries. :func:`row_softmax` works a block of rows at a time in one
 small buffer, masks it in place and stops each block at its last permitted
 key column, so the causally masked half of a square score matrix is neither
 copied nor exponentiated. It does not shrink the products around it: its
-callers, the masked oracle and the attention-weight diagnostics, still form
-the full ``q x kv`` score matrix and value mix with :func:`matmul`. The
+callers, the masked oracle and the engine's one-row drop scoring
+(:func:`~vica.attention.attention_weights`), form their score matrices with
+:func:`matmul`, and the oracle's value mix consumes the full result. The
 engine's causal kernel (:func:`~vica.attention.asymmetric_cross_attention`)
 does not call it: it blocks its query rows the same way and never forms the
 masked key tiles at all. :func:`silu` works in place on fixed-size chunks.
@@ -21,11 +22,8 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import logging
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 # RMS normalization epsilon. Fixed, not configurable.
 RMS_EPS = 1e-6
@@ -102,14 +100,12 @@ def row_softmax(
     scores: np.ndarray,
     allowed: np.ndarray | None = None,
     scale: float = 1.0,
-    empty_rows: list[int] | None = None,
 ) -> np.ndarray:
     """Row-wise softmax of ``scale * scores`` over the permitted entries.
 
     ``allowed`` is a boolean matrix of the same shape; disallowed entries are
     excluded from the max/sum reductions entirely and come back as exact 0.0.
-    A row with no permitted entries yields an all-zero row; its index is
-    appended to ``empty_rows`` when a list is supplied, and logged otherwise.
+    A row with no permitted entries yields an all-zero row.
 
     The result is a zero-filled buffer written a block of rows at a time
     (``_ROW_BLOCK`` to ``2 * _ROW_BLOCK - 1`` rows, or all of them when
@@ -135,10 +131,9 @@ def row_softmax(
     rows, cols = scores.shape
     dtype = np.result_type(scores, scale, -np.inf)
     probs = np.zeros(scores.shape, dtype=dtype)
-    empty: list[int] = []
     n_blocks = max(1, rows // _ROW_BLOCK)
-    if cols == 0:  # no keys at all: every row is empty
-        empty, n_blocks = list(range(rows)), 0
+    if cols == 0:  # no keys at all: every row is empty and stays zero
+        n_blocks = 0
     for b in range(n_blocks):
         r0, r1 = b * rows // n_blocks, (b + 1) * rows // n_blocks
         lim = cols
@@ -146,7 +141,6 @@ def row_softmax(
             seen = allowed[r0:r1].any(axis=0)
             lim = cols - int(np.argmax(seen[::-1]))
             if not seen[lim - 1]:  # no permitted entry in the whole block
-                empty.extend(range(r0, r1))
                 continue
         # contiguous work buffer: ufuncs over a short-row strided view are slower
         block = np.multiply(scores[r0:r1, :lim], scale, dtype=dtype)
@@ -158,18 +152,12 @@ def row_softmax(
             # rows without a permitted entry: keep -inf - -inf = nan out of them
             dead = ~allowed[r0:r1, :lim].any(axis=1)
             row_max[dead] = 0.0
-            empty.extend(r0 + int(i) for i in np.flatnonzero(dead))
         block -= row_max
         np.exp(block, out=block)  # masked entries: exp(-inf) == 0.0
         denom = block.sum(axis=1, keepdims=True)
         if dead is not None:
             denom[dead] = 1.0
         np.divide(block, denom, out=probs[r0:r1, :lim])
-    if empty:
-        if empty_rows is not None:
-            empty_rows.extend(empty)
-        else:
-            logger.debug("row_softmax: all-masked rows %s", empty)
     return probs
 
 

@@ -81,15 +81,13 @@ def relocate_drop_events(
     return out
 
 
-def select_kept_tokens(
-    attn_to_vision: np.ndarray, keep: int, reduce: str = "final"
-) -> np.ndarray:
+def select_kept_tokens(attn_to_vision: np.ndarray, keep: int) -> np.ndarray:
     """Indices of the ``keep`` most-attended vision tokens, sorted ascending.
 
-    ``attn_to_vision`` is the (text queries x vision tokens) attention-weight
-    block from the drop layer. Importance is the final query row by default
-    (``reduce='final'``) or the column mean over all queries
-    (``reduce='mean'``). Ties break toward the lower token index.
+    ``attn_to_vision`` is a (text queries x vision tokens) attention-weight
+    block from the drop layer; its final query row ranks the tokens
+    (PyramidDrop's rule: the last instruction token's attention). Ties break
+    toward the lower token index.
     """
     attn = np.asarray(attn_to_vision)
     if attn.ndim != 2:
@@ -101,11 +99,5 @@ def select_kept_tokens(
         return np.empty(0, dtype=np.intp)
     if attn.shape[0] < 1:
         raise ValueError("need at least one query row to rank tokens")
-    if reduce == "final":
-        importance = attn[-1]
-    elif reduce == "mean":
-        importance = attn.mean(axis=0)
-    else:
-        raise ValueError(f"unknown reduce {reduce!r}")
-    order = np.lexsort((np.arange(n), -importance))
+    order = np.lexsort((np.arange(n), -attn[-1]))
     return np.sort(order[:keep])

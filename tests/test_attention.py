@@ -211,6 +211,15 @@ class TestMaskedAttentionOracle:
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(w[~mask.allowed] == 0.0)
 
+    def test_weights_float32_in_float32_out(self):
+        rng = np.random.default_rng(5)
+        q = rng.standard_normal((3, 8))
+        k = rng.standard_normal((6, 8))
+        mask = FlowMask(bottom_right_mask(3, 6))
+        w32 = attention_weights(q.astype(np.float32), k.astype(np.float32), mask, n_heads=4)
+        assert w32.dtype == np.float32
+        np.testing.assert_allclose(w32, attention_weights(q, k, mask, n_heads=4), atol=1e-6)
+
 
 class TestAsymmetricCrossAttention:
     def test_no_vision_equals_causal_self_attention(self):

@@ -4,7 +4,14 @@ seeded init, and instrumented multiply-accumulate accounting."""
 import numpy as np
 import pytest
 
-from vica.attention import FlowMask, TokenLayout, bottom_right_mask
+import vica.model as model_module
+from vica.attention import (
+    FlowMask,
+    TokenLayout,
+    attention_weights,
+    bottom_right_mask,
+    build_cross_mask,
+)
 from vica.model import (
     MODEL_PRESETS,
     PDROP_EVENTS,
@@ -27,7 +34,8 @@ from vica.model import (
     _baseline_layer,
     _embed_text,
 )
-from vica.numerics import MacCounter, ShapeError
+from vica.numerics import MacCounter, ShapeError, matmul, rms_norm
+from vica.pruning import select_kept_tokens
 
 
 TOY = ModelConfig(n_layers=3, n_heads=2, d_model=8, d_ffn=16, vocab=13, max_seq=64)
@@ -38,11 +46,14 @@ def toy_inputs(seed, n=5, t=4, d=8):
     return rng.standard_normal((n, d)), rng.standard_normal((t, d))
 
 
-MODE_LETTERS = {"B": PolicyMode.BASELINE, "F": PolicyMode.FREEZE_VIS, "T": PolicyMode.TEXT_ONLY}
+MODE_LETTERS = {
+    "B": PolicyMode.BASELINE, "F": PolicyMode.FREEZE_VIS,
+    "V": PolicyMode.VICA_CROSS, "T": PolicyMode.TEXT_ONLY,
+}
 
 
 def mixed_schedule(letters, drops=None):
-    """Schedule from one mode letter per layer (B, F, T)."""
+    """Schedule from one mode letter per layer (B, F, V, T)."""
     sched = PolicySchedule(tuple(LayerPolicy(MODE_LETTERS[c]) for c in letters))
     return sched.with_drops(drops) if drops else sched
 
@@ -439,6 +450,80 @@ class TestDropIntegration:
         np.testing.assert_array_equal(a.logits, b.logits)
 
 
+def full_block_kept(entry, n, lw, n_heads, keep):
+    """Kept vision rows by the full-block rule: every text query against
+    [vision keys; text keys] under the cross mask, then the final row."""
+    t = entry.shape[0] - n
+    x = rms_norm(entry, lw.attn_gain)
+    weights = attention_weights(
+        matmul(x[n:], lw.wq), matmul(x, lw.wk), build_cross_mask(TokenLayout(n, 0, t)),
+        n_heads,
+    )
+    return select_kept_tokens(weights[-1:, :n], keep)
+
+
+class TestDropScoring:
+    """Kept sets scored from the layer body's last text row against the
+    full-block rule, rebuilt here from public kernels."""
+
+    CASES = [
+        # drops at BASELINE layers and at a frozen one
+        ("BFBT", {0: 0.75, 1: 0.5, 2: 0.5}),
+        # frozen and BASELINE drops to 0 rows
+        ("BFFB", {1: 0.0}),
+        ("FBFB", {1: 0.0}),
+        # a keep of 1.0 is a no-op, the next event still cuts
+        ("FFBF", {1: 1.0, 2: 0.5}),
+        ("VTVB", {0: 0.5, 2: 0.75, 3: 0.5}),
+    ]
+
+    @pytest.mark.parametrize("system_reads_vision", [True, False])
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("letters,drops", CASES)
+    def test_kept_sets_match_full_block_rule(self, letters, drops, n_heads,
+                                             system_reads_vision):
+        cfg = ModelConfig(n_layers=4, n_heads=n_heads, d_model=8, d_ffn=12, vocab=13,
+                          max_seq=64)
+        w = init_model(cfg, seed=n_heads)
+        ve, te = toy_inputs(28, n=8, t=5)
+        res = forward(w, ve, te, mixed_schedule(letters, drops), layout=TokenLayout(8, 2, 3),
+                      record_trace=True, system_reads_vision=system_reads_vision)
+        entry = np.vstack([ve, _embed_text(w, te, 8)])
+        cuts = 0
+        for l, e in enumerate(res.trace):
+            if e.n_vision_out == e.n_vision_in:
+                assert e.kept is None
+            else:
+                expected = full_block_kept(entry, e.n_vision_in, w.layers[l], n_heads,
+                                           e.n_vision_out)
+                np.testing.assert_array_equal(e.kept, expected)
+                cuts += 1
+            entry = e.h_post_ffn
+        assert cuts == sum(keep < 1.0 for keep in drops.values())
+
+    def test_float32_drops_score_in_float32(self, monkeypatch):
+        scored = []
+
+        def spy(*args):
+            out = attention_weights(*args)
+            scored.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(model_module, "attention_weights", spy)
+        w64 = init_model(TOY, seed=0)
+        ve, te = toy_inputs(29, n=8, t=4)
+        sched = mixed_schedule("BFT", {0: 0.5, 1: 0.5})
+        r64 = forward(w64, ve, te, sched, record_trace=True)
+        r32 = forward(w64.astype(np.float32), ve.astype(np.float32), te.astype(np.float32),
+                      sched, record_trace=True)
+        assert scored == [np.float64] * 2 + [np.float32] * 2
+        assert r32.logits.dtype == np.float32
+        for e32, e64 in zip(r32.trace, r64.trace):
+            assert (e32.kept is None) == (e64.kept is None)
+            if e64.kept is not None:
+                np.testing.assert_array_equal(e32.kept, e64.kept)
+
+
 class TestMacCounting:
     GRID = [
         ("baseline", PolicySchedule.baseline),
@@ -470,6 +555,9 @@ class TestMacCounting:
             mixed_schedule("BFBT", {1: 0.5, 2: 0.5}),
             # a BASELINE layer that keeps no vision row still runs both halves
             mixed_schedule("BBFB", {1: 0.0}),
+            # a frozen drop to 0 rows, and drops at VICA_CROSS layers
+            mixed_schedule("FFBF", {1: 0.0}),
+            PolicySchedule.sparse_cross(4, {0, 2}).with_drops({0: 0.5, 2: 0.75}),
         ]:
             counter = MacCounter()
             forward(w, ve, te, sched, counter=counter)

@@ -192,9 +192,7 @@ class TestRowSoftmax:
     def test_all_masked_row_zeroed_and_flagged(self):
         allowed = np.ones((3, 4), dtype=bool)
         allowed[1] = False
-        flagged: list[int] = []
-        out = row_softmax(np.ones((3, 4)), allowed, empty_rows=flagged)
-        assert flagged == [1]
+        out = row_softmax(np.ones((3, 4)), allowed)
         assert np.all(out[1] == 0.0)
         np.testing.assert_allclose(out[[0, 2]].sum(axis=1), 1.0)
 
@@ -217,13 +215,11 @@ class TestRowSoftmaxBlocks:
         rng = np.random.default_rng(len(name))
         scores = rng.standard_normal(allowed.shape) * 4
         scores_before, allowed_before = scores.copy(), allowed.copy()
-        flagged: list[int] = []
-        out = row_softmax(scores, allowed, 1 / math.sqrt(8), empty_rows=flagged)
+        out = row_softmax(scores, allowed, 1 / math.sqrt(8))
         expected, empty = softmax_where_reference(scores, allowed, 1 / math.sqrt(8))
         assert out.shape == scores.shape and out.dtype == np.float64
         assert np.abs(out - expected).max() <= 1e-15
         assert np.all(out[~allowed] == 0.0)
-        assert flagged == empty
         assert np.all(out[empty] == 0.0)
         assert np.array_equal(scores, scores_before)
         assert np.array_equal(allowed, allowed_before)
@@ -251,9 +247,8 @@ class TestRowSoftmaxBlocks:
         assert np.all(out[~allowed] == 0.0)
 
     def test_no_columns_every_row_empty(self):
-        flagged: list[int] = []
-        out = row_softmax(np.zeros((3, 0)), empty_rows=flagged)
-        assert out.shape == (3, 0) and flagged == [0, 1, 2]
+        out = row_softmax(np.zeros((3, 0)))
+        assert out.shape == (3, 0)
 
 
 class TestRmsNorm:

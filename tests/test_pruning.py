@@ -91,16 +91,6 @@ class TestSelectKeptTokens:
         kept = select_kept_tokens(attn, 2)
         assert np.array_equal(kept, [2, 3])
 
-    def test_mean_reduction_option(self):
-        attn = np.array(
-            [
-                [0.9, 0.05, 0.05, 0.0],
-                [0.1, 0.2, 0.3, 0.4],
-            ]
-        )
-        kept = select_kept_tokens(attn, 1, reduce="mean")
-        assert np.array_equal(kept, [0])  # column 0 has the largest mean
-
     def test_matches_brute_force_on_seeded_cases(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
