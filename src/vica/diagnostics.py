@@ -1,8 +1,8 @@
 """Layerwise contribution diagnostics for the vision pathways.
 
 For each layer, one pathway (vision attention writes, vision FFN writes, or
-text-to-vision reads) is disabled in the masked-oracle forward and the damage
-is measured two ways:
+text-to-vision reads) is disabled in the masked-oracle forward, resumed at that
+layer from the traced intact run, and the damage is measured two ways:
 
 * KL divergence (natural log) between the intact and ablated next-token
   distributions at the final text position, averaged over a small input batch;
@@ -24,7 +24,10 @@ from .model import (
     ForwardResult,
     PolicySchedule,
     Weights,
+    _disabled_by_layer,
+    _oracle_layers,
     forward_baseline_masked_oracle,
+    parse_path,
     schedule_to_disabled_paths,
 )
 
@@ -136,12 +139,15 @@ def layer_sweep(
     modes are expressed as a masked-oracle disabled-path set, and each swept
     layer adds ``path@l`` on top. Disabling a path the base configuration
     already has off (or one that cannot reach the output) measures as exactly
-    zero KL. Default base is the all-baseline model.
+    zero KL. Default base is the all-baseline model. Each ablated run resumes
+    at its layer from the base run's trace, whose earlier layers it shares.
     """
     n_layers = weights.config.n_layers
     base: frozenset[str] = (
         schedule_to_disabled_paths(schedule) if schedule is not None else frozenset()
     )
+    parse_path(f"{path}@0", n_layers)  # reject an unknown path before any work
+    base_off = _disabled_by_layer(base, n_layers)
     base_runs = [
         forward_baseline_masked_oracle(weights, ve, te, base, record_trace=True)
         for ve, te in inputs
@@ -151,16 +157,14 @@ def layer_sweep(
     kls: list[float] = []
     cosines: list[float] = []
     for l in range(n_layers):
-        spec = f"{path}@{l}"
-        if spec in base:
+        if path in base_off.get(l, set()):
             # already disabled: the ablated model is the base model
             kls.append(0.0)
         else:
+            off = {**base_off, l: base_off.get(l, set()) | {path}}
             total = 0.0
-            for (ve, te), p_base in zip(inputs, base_dists):
-                ablated = forward_baseline_masked_oracle(
-                    weights, ve, te, base | {spec}
-                )
+            for (ve, _), run, p_base in zip(inputs, base_runs, base_dists):
+                ablated = _oracle_layers(weights, run.trace[l].h_pre_attn, ve.shape[0], off, l)
                 total += kl_divergence(p_base, next_token_distribution(ablated))
             kls.append(total / len(inputs))
 

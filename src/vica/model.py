@@ -339,6 +339,8 @@ def init_model(config: ModelConfig, seed: int) -> Weights:
 
 @dataclass
 class LayerTrace:
+    # The referee's entries alias its loop's arrays (``h_post_ffn`` of layer
+    # l is ``h_pre_attn`` of layer l + 1): read them, never write them.
     layer: int
     mode: PolicyMode
     n_vision_in: int
@@ -444,11 +446,11 @@ def _baseline_layer(
     *,
     vis_attn_write: bool = True,
     vis_ffn_write: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The referee's joint layer: masked attention over the whole stream.
 
-    Flags carve out the vision write paths.
-    Returns (h_pre, h_post_attn, h_post_ffn); h_pre aliases the input.
+    Flags carve out the vision write paths. Returns (h_post_attn, h_post_ffn)
+    as new arrays; ``h`` is only read.
     """
     x = rms_norm(h, lw.attn_gain)
     q = matmul(x, lw.wq)
@@ -461,7 +463,7 @@ def _baseline_layer(
     f = gated_ffn(rms_norm(h_attn, lw.ffn_gain), lw.w_gate, lw.w_up, lw.w_down)
     if not vis_ffn_write:
         f[:n_vision] = 0.0
-    return h, h_attn, h_attn + f
+    return h_attn, h_attn + f
 
 
 def _vision_kv(v_rows: np.ndarray, lw: LayerWeights) -> tuple[np.ndarray, np.ndarray]:
@@ -598,41 +600,44 @@ def forward_baseline_masked_oracle(
     zeroing residual slices (``vis_attn_write@l``, ``vis_ffn_write@l``) or
     masking the text-to-vision block (``t2v_read@l``).
     """
-    n, t = _check_inputs(
+    n, _ = _check_inputs(
         weights, vision_emb, text_emb, PolicySchedule.baseline(weights.config.n_layers)
     )
-    cfg = weights.config
-    disabled: dict[int, set[str]] = {}
-    for spec in write_paths_disabled:
-        kind, layer = parse_path(spec, cfg.n_layers)
-        disabled.setdefault(layer, set()).add(kind)
-
+    disabled = _disabled_by_layer(write_paths_disabled, weights.config.n_layers)
     h = np.vstack([np.asarray(vision_emb), _embed_text(weights, np.asarray(text_emb), n)])
-    causal = bottom_right_mask(n + t, n + t)
+    with count_macs(counter):
+        return _oracle_layers(weights, h, n, disabled, 0, [] if record_trace else None)
+
+
+def _disabled_by_layer(specs, n_layers: int) -> dict[int, set[str]]:
+    """Parse ``kind@layer`` specs into the path kinds disabled at each layer."""
+    disabled: dict[int, set[str]] = {}
+    for kind, layer in (parse_path(spec, n_layers) for spec in specs):
+        disabled.setdefault(layer, set()).add(kind)
+    return disabled
+
+
+def _oracle_layers(weights: Weights, h: np.ndarray, n: int, disabled: dict[int, set[str]],
+                   start: int, trace: list[LayerTrace] | None = None) -> ForwardResult:
+    """The referee's layers ``start..L-1`` from the state ``h`` entering ``start``.
+
+    ``disabled`` maps a layer to its disabled path kinds. ``h`` is only read.
+    """
+    causal = bottom_right_mask(len(h), len(h))
     no_t2v = causal.copy()
     no_t2v[n:, :n] = False
-    trace: list[LayerTrace] | None = [] if record_trace else None
-    with count_macs(counter):
-        for l in range(cfg.n_layers):
-            off = disabled.get(l, set())
-            mask = FlowMask(no_t2v if "t2v_read" in off else causal)
-            h_pre, h_attn, h_ffn = _baseline_layer(
-                h, weights.layers[l], mask, cfg.n_heads, n,
-                vis_attn_write="vis_attn_write" not in off,
-                vis_ffn_write="vis_ffn_write" not in off,
-            )
-            if record_trace:
-                trace.append(
-                    LayerTrace(
-                        layer=l, mode=PolicyMode.BASELINE, n_vision_in=n, n_vision_out=n,
-                        kept=None,
-                        h_pre_attn=np.array(h_pre, copy=True),
-                        h_post_attn=np.array(h_attn, copy=True),
-                        h_post_ffn=np.array(h_ffn, copy=True),
-                    )
-                )
-            h = h_ffn
-        logits = matmul(rms_norm(h[n:], weights.out_gain), weights.w_out)
+    for l in range(start, weights.config.n_layers):
+        off = disabled.get(l, set())
+        mask = FlowMask(no_t2v if "t2v_read" in off else causal)
+        h_attn, h_ffn = _baseline_layer(
+            h, weights.layers[l], mask, weights.config.n_heads, n,
+            vis_attn_write="vis_attn_write" not in off,
+            vis_ffn_write="vis_ffn_write" not in off,
+        )
+        if trace is not None:
+            trace.append(LayerTrace(l, PolicyMode.BASELINE, n, n, None, h, h_attn, h_ffn))
+        h = h_ffn
+    logits = matmul(rms_norm(h[n:], weights.out_gain), weights.w_out)
     return ForwardResult(h[:n], h[n:], logits, trace)
 
 

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vica.diagnostics as diagnostics_module
+import vica.model as model_module
 from vica.diagnostics import (
     ImpactReport,
     cosine_change,
@@ -16,9 +18,11 @@ from vica.diagnostics import (
     partition_regimes,
 )
 from vica.model import (
+    WRITE_PATH_KINDS,
     ModelConfig,
     PolicySchedule,
     forward,
+    forward_baseline_masked_oracle,
     init_model,
     schedule_to_disabled_paths,
 )
@@ -163,6 +167,73 @@ class TestLayerSweep:
         for path in ("vis_attn_write", "vis_ffn_write"):
             report = layer_sweep(w, batch, path)
             assert report.kl[2] == 0.0
+
+    # ablated runs resume from the base trace: the same KLs for less work
+    CFG4 = ModelConfig(n_layers=4, n_heads=2, d_model=8, d_ffn=16, vocab=13, max_seq=64)
+    BASES = {
+        "baseline": PolicySchedule.baseline(4),
+        "sparse_0_2": PolicySchedule.sparse_cross(4, {0, 2}),
+        "freeze_vis": PolicySchedule.freeze_vis(4),
+    }
+
+    @pytest.mark.parametrize("base_name", sorted(BASES))
+    @pytest.mark.parametrize("path", WRITE_PATH_KINDS)
+    def test_kl_equals_direct_ablation_exactly(self, path, base_name):
+        sched = self.BASES[base_name]
+        w = init_model(self.CFG4, seed=7)
+        batch = self.make_batch(11)
+        base = schedule_to_disabled_paths(sched)
+        report = layer_sweep(w, batch, path, schedule=sched)
+        for l in range(4):
+            total = 0.0
+            for ve, te in batch:
+                intact = forward_baseline_masked_oracle(w, ve, te, base)
+                ablated = forward_baseline_masked_oracle(w, ve, te, base | {f"{path}@{l}"})
+                total += kl_divergence(
+                    next_token_distribution(intact), next_token_distribution(ablated)
+                )
+            assert report.kl[l] == total / len(batch), (path, base_name, l)
+        if path == "t2v_read" or base_name == "baseline":
+            # the ablation reaches the output somewhere, so equality is not 0 == 0
+            assert max(report.kl) > 0.0
+
+    @pytest.mark.parametrize("base_name", sorted(BASES))
+    @pytest.mark.parametrize("path", WRITE_PATH_KINDS)
+    def test_referee_work_per_sweep(self, path, base_name, monkeypatch):
+        sched = self.BASES[base_name]
+        calls = {"forward": 0, "attention": 0}
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            diagnostics_module, "forward_baseline_masked_oracle",
+            spy("forward", diagnostics_module.forward_baseline_masked_oracle),
+        )
+        monkeypatch.setattr(
+            model_module, "masked_attention_oracle",
+            spy("attention", model_module.masked_attention_oracle),
+        )
+        w = init_model(self.CFG4, seed=7)
+        batch = self.make_batch(12, count=3)
+        layer_sweep(w, batch, path, schedule=sched)
+        base = schedule_to_disabled_paths(sched)
+        resumed = sum(4 - l for l in range(4) if f"{path}@{l}" not in base)
+        assert calls["forward"] == len(batch)
+        assert calls["attention"] == len(batch) * (4 + resumed)
+
+    def test_sweep_leaves_inputs_unchanged(self):
+        w = init_model(self.CFG4, seed=7)
+        batch = self.make_batch(13)
+        before = [(ve.copy(), te.copy()) for ve, te in batch]
+        for path in WRITE_PATH_KINDS:
+            layer_sweep(w, batch, path, schedule=self.BASES["sparse_0_2"])
+        for (ve, te), (ve0, te0) in zip(batch, before):
+            np.testing.assert_array_equal(ve, ve0)
+            np.testing.assert_array_equal(te, te0)
 
     def test_ranking_orders_by_kl(self):
         report = ImpactReport(

@@ -251,7 +251,7 @@ class TestMaskedOracleEquivalence:
         allowed[n : n + layout.t_system, :n] = False
         h = np.vstack([ve, _embed_text(w, te, n)])
         for lw in w.layers:
-            h = _baseline_layer(h, lw, FlowMask(allowed), 2, n)[2]
+            h = _baseline_layer(h, lw, FlowMask(allowed), 2, n)[1]
         assert np.abs(engine.vision_hidden - h[:n]).max() <= 1e-12
         assert np.abs(engine.text_hidden - h[n:]).max() <= 1e-12
         # the blind rows do change the result
@@ -308,6 +308,25 @@ class TestMaskedOracleEquivalence:
              "vis_ffn_write@1", "t2v_read@1"],
         )
         assert np.abs(sparse.logits - oracle.logits).max() <= 1e-10
+
+    def test_trace_aliases_loop_arrays_without_side_effects(self):
+        w = init_model(TOY, seed=2)
+        ve, te = toy_inputs(12)
+        ve0, te0 = ve.copy(), te.copy()
+        disabled = ["vis_ffn_write@0", "t2v_read@1"]
+        traced = forward_baseline_masked_oracle(w, ve, te, disabled, record_trace=True)
+        plain = forward_baseline_masked_oracle(w, ve, te, disabled)
+        trace = traced.trace
+        assert len(trace) == 3 and plain.trace is None
+        for l in range(2):
+            assert trace[l].h_post_ffn is trace[l + 1].h_pre_attn
+        assert not np.shares_memory(trace[0].h_pre_attn, ve)
+        assert not np.shares_memory(trace[0].h_pre_attn, te)
+        np.testing.assert_array_equal(trace[0].h_pre_attn[:5], ve)
+        assert np.array_equal(traced.logits, plain.logits)
+        assert np.array_equal(traced.text_hidden, plain.text_hidden)
+        np.testing.assert_array_equal(ve, ve0)
+        np.testing.assert_array_equal(te, te0)
 
     def test_schedule_to_disabled_paths(self):
         sched = PolicySchedule.sparse_cross(3, {1})
