@@ -11,13 +11,16 @@ Two evaluation paths are provided. :func:`masked_attention_oracle` takes an
 explicit boolean :class:`FlowMask`, forms the full score matrix and is the
 reference for everything else. :func:`asymmetric_cross_attention` is the
 causal kernel of the engine and the fast path: it builds no
-:class:`FlowMask`, works a block of query rows at a time, forms no key tile
-past a block's last permitted key and applies the bottom-right rule (plus
-optional vision-blind rows) to the rest in place. Every engine layer runs
-on it; a joint ``BASELINE`` layer as two calls of the one layer body: the
-text rows over all keys, then the vision rows as their own causal block (no
-prefix keys). :func:`attention_weights` gives head-averaged attention
-weights under a mask; the engine scores vision-token drops with it.
+:class:`FlowMask`, works a group of heads and a block of query rows at a
+time (the group sized so its score tile stays cache-sized), forms no key
+tile past a block's last permitted key and applies the bottom-right rule
+(plus optional vision-blind rows) to the rest in place. Every engine layer
+runs on it; a joint ``BASELINE`` layer as two calls of the one layer body:
+the text rows over all keys, then the vision rows as their own causal block
+(no prefix keys). :func:`attention_weights` gives head-averaged attention
+weights under a mask, all heads in one batched product and one softmax;
+the engine scores vision-token drops with it. The oracle loops over heads,
+so it shares no head layout with the paths it checks.
 """
 
 from __future__ import annotations
@@ -28,6 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import _ROW_BLOCK, ShapeError, add_macs, matmul, row_softmax
+
+# Score elements per head group in the causal kernel (1 MiB of float64): the
+# heads split evenly into groups of at most _TILE // (block rows * kv_len),
+# so small tiles share one NumPy call across many heads and a large one stays
+# in cache. Twice this size measured slower in a full prefill: the larger
+# buffers were page-faulted afresh on every call. Fixed, not configurable.
+_TILE = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -138,6 +148,16 @@ def split_heads(x: np.ndarray, n_heads: int) -> list[np.ndarray]:
     return [x[:, h * (d // n_heads) : (h + 1) * (d // n_heads)] for h in range(n_heads)]
 
 
+def _head_major(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """(rows, d) as (heads, rows, d / n_heads); a view of a row-major ``x``."""
+    return x.reshape(x.shape[0], n_heads, x.shape[1] // n_heads).transpose(1, 0, 2)
+
+
+def _tile(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading elements of the flat ``buf`` as a contiguous ``shape`` array."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
 def masked_attention_oracle(
     q: np.ndarray,
     k: np.ndarray,
@@ -183,16 +203,24 @@ def attention_weights(
 ) -> np.ndarray:
     """Head-averaged attention-weight matrix under ``mask`` (no value mix).
 
-    Accumulates in the dtype of ``q`` and ``k``. The engine calls it with one
-    query row, the last text row of a drop layer.
+    All heads' scores come from one batched product and go through one
+    :func:`~vica.numerics.row_softmax` call as a ``(heads * rows, keys)``
+    matrix under the mask repeated per head. Accumulates in the dtype of
+    ``q`` and ``k``. The engine calls it with one query row, the last text
+    row of a drop layer.
     """
-    d_head = q.shape[1] // n_heads
-    scale = 1.0 / math.sqrt(d_head)
-    acc = np.zeros(mask.allowed.shape, dtype=np.result_type(q, k))
-    for q_h, k_h in zip(split_heads(q, n_heads), split_heads(k, n_heads)):
-        scores = matmul(q_h, k_h.T)
-        acc += row_softmax(scores, mask.allowed, scale)
-    return acc / n_heads
+    q, k = np.asarray(q), np.asarray(k)
+    (rows, d), kv_len = q.shape, k.shape[0]
+    if k.shape[1] != d or d % n_heads != 0:
+        raise ShapeError(f"q {q.shape} and k {k.shape} do not split into {n_heads} heads")
+    scores = _head_major(q, n_heads) @ _head_major(k, n_heads).transpose(0, 2, 1)
+    add_macs(rows * d * kv_len)
+    probs = row_softmax(
+        scores.reshape(n_heads * rows, kv_len),
+        np.tile(mask.allowed, (n_heads, 1)),
+        1.0 / math.sqrt(d // n_heads),
+    )
+    return probs.reshape(n_heads, rows, kv_len).sum(axis=0) / n_heads
 
 
 def asymmetric_cross_attention(
@@ -212,14 +240,19 @@ def asymmetric_cross_attention(
     rows of a joint layer.
 
     The query rows split into blocks as :func:`~vica.numerics.row_softmax`
-    splits its rows (``max(1, t // _ROW_BLOCK)`` even blocks). Per head, block
-    ``[r0, r1)`` forms scores only against keys ``0 .. n + r1 - 1``, its last
-    permitted one, so the causally masked key tiles past it are never formed,
-    masked or exponentiated. Inside the block only the diagonal text tile and
-    the blind rows' vision columns are set to ``-inf``. ``1 / sqrt(d_head)``
-    is folded into the queries once, and the row sums normalise the
+    splits its rows (``max(1, t // _ROW_BLOCK)`` even blocks), and the heads
+    split evenly into groups of at most ``_TILE // (block rows * kv_len)``
+    heads (at least one), so one group's score tile stays cache-sized.
+    q, k, v and the output are viewed head-major, and one loop runs over
+    (head group, row block): the group's block ``[r0, r1)`` forms scores
+    only against keys ``0 .. n + r1 - 1``, its last permitted one, so the
+    causally masked key tiles past it are never formed, masked or
+    exponentiated. Inside the block only the diagonal text tile and the
+    blind rows' vision columns are set to ``-inf``. ``1 / sqrt(d_head)`` is
+    folded into the queries once, and the row sums normalise the
     ``(rows, d_head)`` value product rather than the ``(rows, keys)``
-    weights. Every row sees at least its own key, so no row is empty.
+    weights. Every row sees at least its own key, so no row is empty. The
+    score, max/sum and value-mix buffers are allocated once per call.
 
     Matches :func:`masked_attention_oracle` under :func:`build_cross_mask`.
     Credits the causal MAC count ``2 * d * (t * n + t * (t + 1) / 2)``,
@@ -239,31 +272,38 @@ def asymmetric_cross_attention(
     if not 0 <= n_blind <= t:
         raise ShapeError(f"n_blind {n_blind} outside 0..{t}")
     n = kv_len - t
-    out = np.empty_like(q_text)
+    out = np.empty(q_text.shape, dtype=q_text.dtype)  # row-major: written via a view
     if t == 0:
         return out
-    q_scaled = q_text * (1.0 / math.sqrt(d // n_heads))
+    d_head = d // n_heads
+    q_h = _head_major(q_text * (1.0 / math.sqrt(d_head)), n_heads)
+    k_t = _head_major(k_all, n_heads).transpose(0, 2, 1)
+    v_h, o_h = _head_major(v_all, n_heads), _head_major(out, n_heads)
     n_blocks = max(1, t // _ROW_BLOCK)
+    max_rows = -(-t // n_blocks)
+    n_groups = -(-n_heads // max(1, _TILE // (max_rows * kv_len)))
+    max_tile = -(-n_heads // n_groups) * max_rows
+    score_buf = np.empty(max_tile * kv_len, dtype=np.result_type(q_h, k_t))
+    reduce_buf = np.empty(max_tile, dtype=score_buf.dtype)
+    mix_buf = np.empty(max_tile * d_head, dtype=np.result_type(score_buf, v_h))
     # text key j > query row i, for the largest diagonal tile of any block
-    future = ~np.tri(t // n_blocks + 1, dtype=bool)
+    future = ~np.tri(max_rows + 1, dtype=bool)
 
-    for q_h, k_h, v_h, o_h in zip(
-        split_heads(q_scaled, n_heads),
-        split_heads(k_all, n_heads),
-        split_heads(v_all, n_heads),
-        split_heads(out, n_heads),
-    ):
+    for j in range(n_groups):
+        h0, h1 = j * n_heads // n_groups, (j + 1) * n_heads // n_groups
+        g = h1 - h0
         for b in range(n_blocks):
             r0, r1 = b * t // n_blocks, (b + 1) * t // n_blocks
-            rows = r1 - r0
-            scores = q_h[r0:r1] @ k_h[: n + r1].T
-            np.copyto(scores[:, n + r0 :], -np.inf, where=future[:rows, :rows])
+            rows, keys = r1 - r0, n + r1
+            scores, red = _tile(score_buf, g, rows, keys), _tile(reduce_buf, g, rows, 1)
+            np.matmul(q_h[h0:h1, r0:r1], k_t[h0:h1, :, :keys], out=scores)
+            np.copyto(scores[:, :, n + r0 :], -np.inf, where=future[:rows, :rows])
             if r0 < n_blind:
-                scores[: n_blind - r0, :n] = -np.inf
-            scores -= scores.max(axis=1, keepdims=True)
+                scores[:, : n_blind - r0, :n] = -np.inf
+            scores -= np.max(scores, axis=2, keepdims=True, out=red)
             np.exp(scores, out=scores)  # masked entries: exp(-inf) == 0.0
-            mixed = scores @ v_h[: n + r1]
-            mixed /= scores.sum(axis=1, keepdims=True)
-            o_h[r0:r1] = mixed
+            mixed = np.matmul(scores, v_h[h0:h1, :keys], out=_tile(mix_buf, g, rows, d_head))
+            mixed /= np.sum(scores, axis=2, keepdims=True, out=red)
+            o_h[h0:h1, r0:r1] = mixed
     add_macs(2 * d * (t * n + t * (t + 1) // 2))
     return out

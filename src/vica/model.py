@@ -43,7 +43,6 @@ checks.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -59,8 +58,6 @@ from .attention import (
 )
 from .numerics import ShapeError, add_macs, count_macs, gated_ffn, matmul, rms_norm
 from .pruning import relocate_drop_events, resolve_schedule, select_kept_tokens
-
-logger = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):

@@ -10,12 +10,15 @@ temporaries. :func:`row_softmax` works a block of rows at a time in one
 small buffer, masks it in place and stops each block at its last permitted
 key column, so the causally masked half of a square score matrix is neither
 copied nor exponentiated. It does not shrink the products around it: its
-callers, the masked oracle and the engine's one-row drop scoring
-(:func:`~vica.attention.attention_weights`), form their score matrices with
-:func:`matmul`, and the oracle's value mix consumes the full result. The
-engine's causal kernel (:func:`~vica.attention.asymmetric_cross_attention`)
-does not call it: it blocks its query rows the same way and never forms the
-masked key tiles at all. :func:`silu` works in place on fixed-size chunks.
+callers form their score matrices in full. The masked oracle does so per
+head with :func:`matmul` and its value mix consumes the full result; the
+engine's one-row drop scoring (:func:`~vica.attention.attention_weights`)
+forms all heads' scores in one batched product and passes them as one
+``(heads * rows, keys)`` matrix. The engine's causal kernel
+(:func:`~vica.attention.asymmetric_cross_attention`) does not call it: it
+blocks its query rows the same way, runs a group of heads per block in
+reused buffers and never forms the masked key tiles at all. :func:`silu`
+works in place on fixed-size chunks.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vica import attention
 from vica.attention import (
     FlowMask,
     TokenLayout,
@@ -23,7 +24,7 @@ from vica.attention import (
     build_cross_mask,
     masked_attention_oracle,
 )
-from vica.numerics import ShapeError
+from vica.numerics import _ROW_BLOCK, ShapeError, row_softmax
 
 
 def attention_loop_oracle(q, k, v, allowed, n_heads):
@@ -50,6 +51,48 @@ def attention_loop_oracle(q, k, v, allowed, n_heads):
                 for c in range(lo, hi):
                     out[i, c] += w * v[j, c]
     return out
+
+
+# (n vision keys, t queries, n_blind): small layouts; then no queries, one row
+# block at its edges (63..65 rows), two blocks (128, 129), three (200), and
+# blind rows ending on either side of a block boundary (blocks start at rows
+# 64 for t=128/129, 66 and 133 for t=200)
+GRID_CASES = [
+    (n, t, n_blind)
+    for n in range(0, 9, 2)
+    for t in range(1, 9, 2)
+    for n_blind in sorted({0, 1, t})
+]
+GRID_CASES += [
+    (n, t, n_blind)
+    for n in (0, 7)
+    for t in (0, 63, 64, 65, 128, 129)
+    for n_blind in sorted({0, min(1, t), t})
+]
+GRID_CASES += [(7, 128, b) for b in (63, 64, 65)] + [(7, 129, b) for b in (64, 100)]
+GRID_CASES += [(5, 200, b) for b in (65, 66, 67, 132, 133, 134)]
+
+
+def _force_heads_per_group(monkeypatch, n, t, per_group):
+    """Shrink the kernel's score tile to ``per_group`` heads of the largest block."""
+    max_rows = -(-t // max(1, t // _ROW_BLOCK))
+    monkeypatch.setattr(attention, "_TILE", per_group * max(1, max_rows) * (n + t))
+
+
+def _check_grid(rng, d, n_heads, dtype, atol, monkeypatch=None, heads_per_group=None):
+    for n, t, n_blind in GRID_CASES:
+        if monkeypatch is not None:
+            _force_heads_per_group(monkeypatch, n, t, heads_per_group)
+        q = rng.standard_normal((t, d))
+        k = rng.standard_normal((n + t, d))
+        v = rng.standard_normal((n + t, d))
+        fast = asymmetric_cross_attention(q, k, v, n_heads, n_blind)
+        assert fast.shape == (t, d)
+        mask = build_cross_mask(TokenLayout(n, n_blind, t - n_blind), True, False)
+        np.testing.assert_allclose(
+            fast, masked_attention_oracle(q, k, v, mask, n_heads), atol=atol,
+            err_msg=f"n={n} t={t} n_blind={n_blind}",
+        )
 
 
 class TestTokenLayout:
@@ -211,6 +254,28 @@ class TestMaskedAttentionOracle:
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(w[~mask.allowed] == 0.0)
 
+    def test_weights_equal_per_head_loop(self):
+        # one query row, as the engine scores drops: bit-equal to summing the
+        # per-head softmaxes in head order
+        rng = np.random.default_rng(4)
+        q = rng.standard_normal((1, 64))
+        k = rng.standard_normal((40, 64))
+        mask = FlowMask(np.ones((1, 40), dtype=bool))
+        acc = np.zeros((1, 40))
+        for h in range(8):
+            cols = slice(h * 8, (h + 1) * 8)
+            acc += row_softmax(q[:, cols] @ k[:, cols].T, mask.allowed, 1 / math.sqrt(8))
+        assert np.array_equal(attention_weights(q, k, mask, n_heads=8), acc / 8)
+
+    def test_weights_shapes_checked(self):
+        mask = FlowMask(np.ones((2, 3), dtype=bool))
+        with pytest.raises(ShapeError):
+            attention_weights(np.zeros((2, 8)), np.zeros((3, 16)), mask, 4)
+        with pytest.raises(ShapeError):
+            attention_weights(np.zeros((2, 8)), np.zeros((3, 8)), mask, 3)
+        with pytest.raises(ShapeError):
+            attention_weights(np.zeros((2, 8)), np.zeros((4, 8)), mask, 4)
+
     def test_weights_float32_in_float32_out(self):
         rng = np.random.default_rng(5)
         q = rng.standard_normal((3, 8))
@@ -258,40 +323,40 @@ class TestAsymmetricCrossAttention:
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     def test_grid_against_oracle(self, n_heads):
         rng = np.random.default_rng(7)
-        d = 8
-        for n in range(0, 9, 2):
-            for t in range(1, 9, 2):
-                for n_blind in sorted({0, 1, t}):
-                    q = rng.standard_normal((t, d))
-                    k = rng.standard_normal((n + t, d))
-                    v = rng.standard_normal((n + t, d))
-                    fast = asymmetric_cross_attention(q, k, v, n_heads, n_blind)
-                    mask = build_cross_mask(TokenLayout(n, n_blind, t - n_blind), True, False)
-                    np.testing.assert_allclose(
-                        fast, masked_attention_oracle(q, k, v, mask, n_heads), atol=1e-12
-                    )
-        # no queries, one row block at its edges (63..65 rows), two blocks
-        # (128, 129), three (200), and blind rows ending on either side of a
-        # block boundary (blocks start at rows 64 for t=128/129, 66 and 133 for t=200)
-        cases = [
-            (n, t, n_blind)
-            for n in (0, 7)
-            for t in (0, 63, 64, 65, 128, 129)
-            for n_blind in sorted({0, min(1, t), t})
-        ]
-        cases += [(7, 128, b) for b in (63, 64, 65)] + [(7, 129, b) for b in (64, 100)]
-        cases += [(5, 200, b) for b in (65, 66, 67, 132, 133, 134)]
-        for n, t, n_blind in cases:
-            q = rng.standard_normal((t, d))
-            k = rng.standard_normal((n + t, d))
-            v = rng.standard_normal((n + t, d))
-            fast = asymmetric_cross_attention(q, k, v, n_heads, n_blind)
-            assert fast.shape == (t, d)
-            mask = build_cross_mask(TokenLayout(n, n_blind, t - n_blind), True, False)
-            np.testing.assert_allclose(
-                fast, masked_attention_oracle(q, k, v, mask, n_heads), atol=1e-12,
-                err_msg=f"n={n} t={t} n_blind={n_blind}",
-            )
+        _check_grid(rng, d=8, n_heads=n_heads, dtype=np.float64, atol=1e-12)
+
+    def test_uneven_head_groups_match_oracle(self, monkeypatch):
+        # 5 heads in 3 groups (1 + 2 + 2) on every grid case
+        rng = np.random.default_rng(8)
+        _check_grid(rng, d=10, n_heads=5, dtype=np.float64, atol=1e-12,
+                    monkeypatch=monkeypatch, heads_per_group=2)
+
+    def test_uneven_head_groups_float32(self, monkeypatch):
+        # 5 heads in 2 groups (2 + 3), two row blocks, blind rows past the boundary
+        rng = np.random.default_rng(9)
+        n, t, n_blind, n_heads = 7, 129, 100, 5
+        _force_heads_per_group(monkeypatch, n, t, 3)
+        q = rng.standard_normal((t, 10))
+        k = rng.standard_normal((n + t, 10))
+        v = rng.standard_normal((n + t, 10))
+        fast = asymmetric_cross_attention(
+            q.astype(np.float32), k.astype(np.float32), v.astype(np.float32), n_heads, n_blind
+        )
+        assert fast.dtype == np.float32
+        mask = build_cross_mask(TokenLayout(n, n_blind, t - n_blind), True, False)
+        np.testing.assert_allclose(
+            fast, masked_attention_oracle(q, k, v, mask, n_heads), atol=1e-5
+        )
+
+    @pytest.mark.parametrize("n, t, n_blind", [(576, 55, 0), (576, 55, 35), (0, 200, 0), (7, 129, 64)])
+    def test_one_head_per_group_equals_default_grouping(self, monkeypatch, n, t, n_blind):
+        rng = np.random.default_rng(10)
+        q = rng.standard_normal((t, 256))
+        k = rng.standard_normal((n + t, 256))
+        v = rng.standard_normal((n + t, 256))
+        grouped = asymmetric_cross_attention(q, k, v, 32, n_blind)
+        monkeypatch.setattr(attention, "_TILE", 1)
+        assert np.array_equal(asymmetric_cross_attention(q, k, v, 32, n_blind), grouped)
 
     def test_too_many_queries_rejected(self):
         with pytest.raises(ShapeError):
