@@ -14,10 +14,13 @@ causal kernel of the engine and the fast path: it builds no
 :class:`FlowMask`, works a group of heads and a block of query rows at a
 time (the group sized so its score tile stays cache-sized), forms no key
 tile past a block's last permitted key and applies the bottom-right rule
-(plus optional vision-blind rows) to the rest in place. Every engine layer
-runs on it; a joint ``BASELINE`` layer as two calls of the one layer body:
-the text rows over all keys, then the vision rows as their own causal block
-(no prefix keys). :func:`attention_weights` gives head-averaged attention
+(plus optional vision-blind rows) to the rest in place. When a bound on
+every score proves ``exp`` cannot overflow, it exponentiates the scores
+unshifted and zeroes the masked ones; otherwise it masks them to ``-inf``
+and shifts each row by its max first. Every engine layer runs on it; a
+joint ``BASELINE`` layer as two calls of the one layer body: the text rows
+over all keys, then the vision rows as their own causal block (no prefix
+keys). :func:`attention_weights` gives head-averaged attention
 weights under a mask, all heads in one batched product and one softmax;
 the engine scores vision-token drops with it. The oracle loops over heads,
 so it shares no head layout with the paths it checks.
@@ -158,6 +161,11 @@ def _tile(buf: np.ndarray, *shape: int) -> np.ndarray:
     return buf[: math.prod(shape)].reshape(shape)
 
 
+def _abs_max(x: np.ndarray) -> float:
+    """Largest ``|x|`` as a Python float; NaN if ``x`` holds a NaN."""
+    return float(max(x.max(), -x.min()))
+
+
 def masked_attention_oracle(
     q: np.ndarray,
     k: np.ndarray,
@@ -247,8 +255,20 @@ def asymmetric_cross_attention(
     (head group, row block): the group's block ``[r0, r1)`` forms scores
     only against keys ``0 .. n + r1 - 1``, its last permitted one, so the
     causally masked key tiles past it are never formed, masked or
-    exponentiated. Inside the block only the diagonal text tile and the
-    blind rows' vision columns are set to ``-inf``. ``1 / sqrt(d_head)`` is
+    exponentiated. Inside the block only the diagonal text tile's future
+    keys and the blind rows' vision columns are masked.
+
+    Softmax is invariant to a per-row shift; the max shift only keeps
+    ``exp`` in range. Before the loop the kernel bounds every score it will
+    form, masked ones included, by ``B = d_head * max|q / sqrt(d_head)| *
+    max|k|``. If ``B <= log(finfo.max) / 4`` in the score dtype (~177.4 in
+    float64, ~22.2 in float32), each tile is exponentiated in place
+    unshifted and then its masked entries are set to 0.0: the weights lie
+    in ``[e^-B, e^B]`` and the row sums stay far from overflow (the value
+    mix overflows only if some ``|v|`` exceeds ``finfo.max ** 0.75 /
+    kv_len``). Otherwise, NaN or inf ``B`` included, the masked entries are
+    set to ``-inf`` and each row is shifted by its max before ``exp``, so
+    NaN inputs propagate as the referee's do. ``1 / sqrt(d_head)`` is
     folded into the queries once, and the row sums normalise the
     ``(rows, d_head)`` value product rather than the ``(rows, keys)``
     weights. Every row sees at least its own key, so no row is empty. The
@@ -276,7 +296,8 @@ def asymmetric_cross_attention(
     if t == 0:
         return out
     d_head = d // n_heads
-    q_h = _head_major(q_text * (1.0 / math.sqrt(d_head)), n_heads)
+    q_scaled = q_text * (1.0 / math.sqrt(d_head))
+    q_h = _head_major(q_scaled, n_heads)
     k_t = _head_major(k_all, n_heads).transpose(0, 2, 1)
     v_h, o_h = _head_major(v_all, n_heads), _head_major(out, n_heads)
     n_blocks = max(1, t // _ROW_BLOCK)
@@ -288,6 +309,10 @@ def asymmetric_cross_attention(
     mix_buf = np.empty(max_tile * d_head, dtype=np.result_type(score_buf, v_h))
     # text key j > query row i, for the largest diagonal tile of any block
     future = ~np.tri(max_rows + 1, dtype=bool)
+    # no score, masked or not, exceeds the bound in size; NaN or inf fails it
+    bound = d_head * _abs_max(q_scaled) * _abs_max(k_all)
+    shift = not (bound <= math.log(np.finfo(score_buf.dtype).max) / 4)
+    fill = -np.inf if shift else 0.0
 
     for j in range(n_groups):
         h0, h1 = j * n_heads // n_groups, (j + 1) * n_heads // n_groups
@@ -297,11 +322,14 @@ def asymmetric_cross_attention(
             rows, keys = r1 - r0, n + r1
             scores, red = _tile(score_buf, g, rows, keys), _tile(reduce_buf, g, rows, 1)
             np.matmul(q_h[h0:h1, r0:r1], k_t[h0:h1, :, :keys], out=scores)
-            np.copyto(scores[:, :, n + r0 :], -np.inf, where=future[:rows, :rows])
+            if not shift:
+                np.exp(scores, out=scores)
+            np.copyto(scores[:, :, n + r0 :], fill, where=future[:rows, :rows])
             if r0 < n_blind:
-                scores[:, : n_blind - r0, :n] = -np.inf
-            scores -= np.max(scores, axis=2, keepdims=True, out=red)
-            np.exp(scores, out=scores)  # masked entries: exp(-inf) == 0.0
+                scores[:, : n_blind - r0, :n] = fill
+            if shift:
+                scores -= np.max(scores, axis=2, keepdims=True, out=red)
+                np.exp(scores, out=scores)  # masked entries: exp(-inf) == 0.0
             mixed = np.matmul(scores, v_h[h0:h1, :keys], out=_tile(mix_buf, g, rows, d_head))
             mixed /= np.sum(scores, axis=2, keepdims=True, out=red)
             o_h[h0:h1, r0:r1] = mixed

@@ -716,6 +716,7 @@ def run_bench(cfg: ExperimentConfig) -> int:
             f"bench schedule {vica_name!r} retains no cross-attention layers"
         )
     baseline = PolicySchedule.baseline(mc.n_layers)
+    textonly = PolicySchedule.text_only(mc.n_layers)
     layout = cfg.layout()
     dtype = np.float64 if cfg.dtype == "float64" else np.float32
 
@@ -725,11 +726,14 @@ def run_bench(cfg: ExperimentConfig) -> int:
     te = rng.standard_normal((layout.n_text, mc.d_model)).astype(dtype)
 
     # instrumented multiply counts, one untimed pass per path
-    base_counter, vica_counter = MacCounter(), MacCounter()
+    base_counter, pre_counter, fast_counter, text_counter = (MacCounter() for _ in range(4))
     forward(weights, ve, te, baseline, layout=layout, counter=base_counter)
-    kv = precompute_visual_kv(weights, ve, sched, counter=vica_counter)
-    forward_vica_fast(weights, kv, te, sched, counter=vica_counter)
-    mac_ratio = vica_counter.macs / base_counter.macs
+    kv = precompute_visual_kv(weights, ve, sched, counter=pre_counter)
+    forward_vica_fast(weights, kv, te, sched, counter=fast_counter)
+    no_kv = precompute_visual_kv(weights, ve, textonly)
+    forward_vica_fast(weights, no_kv, te, textonly, counter=text_counter)
+    vica_macs = pre_counter.macs + fast_counter.macs
+    mac_ratio = vica_macs / base_counter.macs
 
     ci = cfg.cost_inputs(sched, mc)
     model_ratio = vica_total_flops(ci) / total_flops(ci)
@@ -754,8 +758,14 @@ def run_bench(cfg: ExperimentConfig) -> int:
             fresh = precompute_visual_kv(weights, ve, sched)
             forward_vica_fast(weights, fresh, te, sched)
         vica_times = time_reps(joint)
+    # text-only reads no vision KV, so it has none to build
+    text_times = time_reps(lambda: forward_vica_fast(weights, no_kv, te, textonly))
 
-    base_med, vica_med = _median(base_times), _median(vica_times)
+    base_med, vica_med, text_med = _median(base_times), _median(vica_times), _median(text_times)
+    # against what the vica clock timed: the KV build counts unless decoupled
+    wall_over_text = vica_med / text_med - 1
+    timed_macs = fast_counter.macs + (0 if cfg.decoupled else pre_counter.macs)
+    macs_over_text = timed_macs / text_counter.macs - 1
     report = {
         "geometry": {
             "n_layers": mc.n_layers, "n_heads": mc.n_heads,
@@ -766,7 +776,7 @@ def run_bench(cfg: ExperimentConfig) -> int:
         "schedule": vica_name,
         "macs": {
             "baseline": base_counter.macs,
-            "vica": vica_counter.macs,
+            "vica": vica_macs,
             "ratio": mac_ratio,
             "costmodel_ratio": model_ratio,
             "ratio_rel_err": ratio_rel_err,
@@ -783,17 +793,23 @@ def run_bench(cfg: ExperimentConfig) -> int:
             "baseline_median_s": base_med,
             "vica_median_s": vica_med,
             "precompute_median_s": _median(pre_times),
+            "textonly_median_s": text_med,
+            "wall_overhead_over_textonly": wall_over_text,
+            "mac_overhead_over_textonly": macs_over_text,
             "baseline_s": base_times,
             "vica_s": vica_times,
+            "textonly_s": text_times,
         },
     }
     dump_json(out_dir / "bench.json", report)
     write_manifest(out_dir, cfg)
-    print(f"multiplies   baseline {base_counter.macs:,}  vica {vica_counter.macs:,}  "
+    print(f"multiplies   baseline {base_counter.macs:,}  vica {vica_macs:,}  "
           f"ratio {mac_ratio * 100:.2f}% (model {model_ratio * 100:.2f}%, "
           f"rel err {ratio_rel_err * 100:.2f}%)")
     print(f"median wall  baseline {base_med * 1e3:.1f} ms  vica {vica_med * 1e3:.1f} ms"
           f"{'  (decoupled)' if cfg.decoupled else ''}")
+    print(f"textonly     {text_med * 1e3:.1f} ms  vica over it: wall {wall_over_text * 100:+.1f}%  "
+          f"multiplies {macs_over_text * 100:+.1f}%")
     if ratio_rel_err > 0.05:
         print("FAIL instrumented ratio deviates from cost model by more than 5%")
         return EXIT_VERIFY_FAILED

@@ -17,8 +17,11 @@ forms all heads' scores in one batched product and passes them as one
 ``(heads * rows, keys)`` matrix. The engine's causal kernel
 (:func:`~vica.attention.asymmetric_cross_attention`) does not call it: it
 blocks its query rows the same way, runs a group of heads per block in
-reused buffers and never forms the masked key tiles at all. :func:`silu`
-works in place on fixed-size chunks.
+reused buffers and never forms the masked key tiles at all. Where a bound
+on its scores proves ``exp`` cannot overflow, it also skips the ``-inf``
+mask and the max shift that :func:`row_softmax` always applies: it
+exponentiates unshifted and zeroes the masked entries. :func:`silu` works
+in place on fixed-size chunks.
 """
 
 from __future__ import annotations

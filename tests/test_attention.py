@@ -79,15 +79,31 @@ def _force_heads_per_group(monkeypatch, n, t, per_group):
     monkeypatch.setattr(attention, "_TILE", per_group * max(1, max_rows) * (n + t))
 
 
-def _check_grid(rng, d, n_heads, dtype, atol, monkeypatch=None, heads_per_group=None):
+def _score_bound(q, k, n_heads):
+    """The causal kernel's bound on the size of every score it forms."""
+    d_head = q.shape[1] // n_heads
+    return d_head * np.abs(q / math.sqrt(d_head)).max() * np.abs(k).max()
+
+
+def _exp_limit(dtype):
+    """Largest score bound at which the causal kernel skips the max shift."""
+    return math.log(np.finfo(dtype).max) / 4
+
+
+def _check_grid(rng, d, n_heads, dtype, atol, monkeypatch=None, heads_per_group=None,
+                qk_scale=1.0):
     for n, t, n_blind in GRID_CASES:
         if monkeypatch is not None:
             _force_heads_per_group(monkeypatch, n, t, heads_per_group)
-        q = rng.standard_normal((t, d))
-        k = rng.standard_normal((n + t, d))
+        q = rng.standard_normal((t, d)) * qk_scale
+        k = rng.standard_normal((n + t, d)) * qk_scale
         v = rng.standard_normal((n + t, d))
-        fast = asymmetric_cross_attention(q, k, v, n_heads, n_blind)
-        assert fast.shape == (t, d)
+        if qk_scale != 1.0 and t > 0:
+            assert _score_bound(q, k, n_heads) > _exp_limit(np.float64)
+        fast = asymmetric_cross_attention(
+            q.astype(dtype), k.astype(dtype), v.astype(dtype), n_heads, n_blind
+        )
+        assert fast.shape == (t, d) and fast.dtype == dtype
         mask = build_cross_mask(TokenLayout(n, n_blind, t - n_blind), True, False)
         np.testing.assert_allclose(
             fast, masked_attention_oracle(q, k, v, mask, n_heads), atol=atol,
@@ -324,6 +340,63 @@ class TestAsymmetricCrossAttention:
     def test_grid_against_oracle(self, n_heads):
         rng = np.random.default_rng(7)
         _check_grid(rng, d=8, n_heads=n_heads, dtype=np.float64, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype, qk_scale, atol", [
+        (np.float64, 30.0, 1e-12), (np.float32, 8.0, 1e-4),
+    ])
+    def test_grid_above_exp_limit_against_oracle(self, dtype, qk_scale, atol):
+        # Every case's score bound exceeds both limits: the max-shifted path.
+        # Scores reach past exp's range in the dtype, so unshifted they overflow.
+        rng = np.random.default_rng(11)
+        _check_grid(rng, d=8, n_heads=2, dtype=dtype, atol=atol, qk_scale=qk_scale)
+
+    @pytest.mark.parametrize("big", [10.0, 3000.0])
+    def test_masked_keys_scoring_far_above_visible_ones(self, big):
+        # Each row's masked keys (future text keys; vision keys on the blind
+        # rows) score big / sqrt(d) against ~0 for its permitted ones. At 3000
+        # the bound exceeds the limit, and a max shift taken over the masked
+        # entries would underflow every permitted weight to 0.
+        n, t, n_blind = 3, 6, 2
+        mask = build_cross_mask(TokenLayout(n, n_blind, t - n_blind), True, False)
+        rng = np.random.default_rng(12)
+        q = ~mask.allowed + 0.01 * rng.standard_normal((t, n + t))
+        k = big * np.eye(n + t) + 0.01 * rng.standard_normal((n + t, n + t))
+        v = rng.standard_normal((n + t, n + t))
+        assert (_score_bound(q, k, 1) > _exp_limit(np.float64)) == (big > 100)
+        np.testing.assert_allclose(
+            asymmetric_cross_attention(q, k, v, 1, n_blind),
+            masked_attention_oracle(q, k, v, mask, 1), atol=1e-12,
+        )
+
+    def test_bound_just_under_float64_limit(self):
+        # |q| and |k| constant, so the aligned and opposed pairs score the
+        # bound itself: unnormalised weights reach exp(+-177) unshifted
+        n, t, d, n_heads = 7, 70, 16, 4
+        rng = np.random.default_rng(13)
+        q = rng.choice([-1.0, 1.0], size=(t, d))
+        k = rng.choice([-1.0, 1.0], size=(n + t, d))
+        k *= 0.999 * _exp_limit(np.float64) / _score_bound(q, k, n_heads)
+        v = rng.standard_normal((n + t, d))
+        assert 0.99 < _score_bound(q, k, n_heads) / _exp_limit(np.float64) < 1.0
+        fast = asymmetric_cross_attention(q, k, v, n_heads, 20)
+        mask = build_cross_mask(TokenLayout(n, 20, t - 20), True, False)
+        np.testing.assert_allclose(
+            fast, masked_attention_oracle(q, k, v, mask, n_heads), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("operand, row, col", [("q", 3, 5), ("k", 2, 9), ("k", 9, 1)])
+    def test_nan_in_q_or_k_gives_nan_output(self, operand, row, col):
+        n, t, n_heads = 4, 8, 2
+        rng = np.random.default_rng(14)
+        q = rng.standard_normal((t, 12))
+        k = rng.standard_normal((n + t, 12))
+        v = rng.standard_normal((n + t, 12))
+        {"q": q, "k": k}[operand][row, col] = np.nan
+        fast = asymmetric_cross_attention(q, k, v, n_heads)
+        ref = masked_attention_oracle(q, k, v, FlowMask(bottom_right_mask(t, n + t)), n_heads)
+        assert np.isnan(fast).any()
+        assert np.array_equal(np.isnan(fast), np.isnan(ref))
+        np.testing.assert_allclose(fast, ref, atol=1e-12)
 
     def test_uneven_head_groups_match_oracle(self, monkeypatch):
         # 5 heads in 3 groups (1 + 2 + 2) on every grid case

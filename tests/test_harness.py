@@ -22,7 +22,7 @@ from vica.harness import (
     run_diagnose,
     run_equivalence,
 )
-from vica.model import ConfigError, PolicyMode
+from vica.model import ConfigError, PolicyMode, PolicySchedule, count_forward_macs
 
 
 class TestConfigGrammar:
@@ -293,6 +293,16 @@ class TestCliBench:
         "--reps", "1", "--warmup", "0",
     ]
 
+    @staticmethod
+    def _config():
+        return ExperimentConfig(mode="bench", schedule="sparse:0,3", n_layers=8, n_heads=8,
+                                d_model=64, d_ffn=172, n_vision=144)
+
+    def _textonly_macs(self):
+        cfg = self._config()
+        return count_forward_macs(cfg.model_config(), cfg.layout(),
+                                  PolicySchedule.text_only(8), "fast")
+
     def test_smoke_report(self, tmp_path, capsys):
         code = main(self.SMOKE + ["--out", str(tmp_path)])
         assert code == EXIT_OK
@@ -300,13 +310,30 @@ class TestCliBench:
         assert report["macs"]["vica"] < report["macs"]["baseline"]
         assert report["checks"]["mac_ratio_within_5pct"] is True
         assert report["timing"]["reps"] == 1
-        assert "ratio" in capsys.readouterr().out
+        timing = report["timing"]
+        assert len(timing["textonly_s"]) == 1
+        assert timing["textonly_median_s"] == timing["textonly_s"][0] > 0
+        assert timing["wall_overhead_over_textonly"] == pytest.approx(
+            timing["vica_median_s"] / timing["textonly_median_s"] - 1
+        )
+        # not decoupled: the vica clock, and so its multiplies, include the KV build
+        assert timing["mac_overhead_over_textonly"] == pytest.approx(
+            report["macs"]["vica"] / self._textonly_macs() - 1
+        )
+        out = capsys.readouterr().out
+        assert "ratio" in out and "textonly" in out
 
     def test_decoupled_flag_recorded(self, tmp_path):
         code = main(self.SMOKE + ["--decoupled", "--out", str(tmp_path)])
         assert code == EXIT_OK
         report = json.loads((tmp_path / "bench.json").read_text())
         assert report["timing"]["decoupled"] is True
+        cfg = self._config()
+        fast = count_forward_macs(cfg.model_config(), cfg.layout(),
+                                  cfg.policy_schedule(8), "fast", include_kv_precompute=False)
+        assert report["timing"]["mac_overhead_over_textonly"] == pytest.approx(
+            fast / self._textonly_macs() - 1
+        )
 
     def test_rerun_identical_outside_timing(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
