@@ -1,4 +1,4 @@
-"""Information-flow masks and attention over a [vision; text] token stream.
+"""Permission masks and attention over a [vision; text] token stream.
 
 The token stream is always ordered vision prefix first, then system text,
 then question text. A causal mask over that ordering already guarantees that
@@ -8,22 +8,23 @@ of a length-``q`` query block over ``kv`` keys may attend to key ``j`` iff
 ``j <= i + (kv - q)``, the bottom-right alignment of the causal diagonal.
 
 Two evaluation paths are provided. :func:`masked_attention_oracle` takes an
-explicit boolean :class:`FlowMask`, forms the full score matrix and is the
-reference for everything else. :func:`asymmetric_cross_attention` is the
-causal kernel of the engine and the fast path: it builds no
-:class:`FlowMask`, works a group of heads and a block of query rows at a
-time (the group sized so its score tile stays cache-sized), forms no key
-tile past a block's last permitted key and applies the bottom-right rule
-(plus optional vision-blind rows) to the rest in place. When a bound on
-every score proves ``exp`` cannot overflow, it exponentiates the scores
-unshifted and zeroes the masked ones; otherwise it masks them to ``-inf``
-and shifts each row by its max first. Every engine layer runs on it; a
+explicit boolean permission matrix (query rows by keys), forms the full
+score matrix and is the reference for everything else.
+:func:`asymmetric_cross_attention` is the causal kernel of the engine and
+the fast path: it builds no mask, works a group of heads and a block of
+query rows at a time (the group sized so its score tile stays
+cache-sized), forms no key tile past a block's last permitted key and
+applies the bottom-right rule (plus optional vision-blind rows) to the
+rest in place. When a bound on every score proves ``exp`` cannot
+overflow, it exponentiates the scores unshifted and zeroes the masked
+ones; otherwise it masks them to ``-inf`` and shifts each row by its max
+first. Every engine layer runs on it; a
 joint ``BASELINE`` layer as two calls of the one layer body: the text rows
 over all keys, then the vision rows as their own causal block (no prefix
-keys). :func:`attention_weights` gives head-averaged attention
-weights under a mask, all heads in one batched product and one softmax;
-the engine scores vision-token drops with it. The oracle loops over heads,
-so it shares no head layout with the paths it checks.
+keys). :func:`attention_weights` gives unmasked head-averaged attention
+weights, all heads in one batched product and one softmax; the engine
+scores vision-token drops with it. The oracle loops over heads, so it
+shares no head layout with the paths it checks.
 """
 
 from __future__ import annotations
@@ -65,27 +66,6 @@ class TokenLayout:
         return self.n_vision + self.n_text
 
 
-@dataclass(frozen=True)
-class FlowMask:
-    """Boolean query-by-key permission matrix."""
-
-    allowed: np.ndarray
-
-    def __post_init__(self) -> None:
-        allowed = np.asarray(self.allowed, dtype=bool)
-        if allowed.ndim != 2:
-            raise ShapeError(f"mask must be 2-D, got shape {allowed.shape}")
-        object.__setattr__(self, "allowed", allowed)
-
-    @property
-    def q_len(self) -> int:
-        return self.allowed.shape[0]
-
-    @property
-    def kv_len(self) -> int:
-        return self.allowed.shape[1]
-
-
 def bottom_right_causal_allowed(i: int, j: int, q_len: int, kv_len: int) -> bool:
     """May query row ``i`` (of ``q_len``) attend to key ``j`` (of ``kv_len``)?
 
@@ -109,21 +89,20 @@ def bottom_right_mask(q_len: int, kv_len: int) -> np.ndarray:
     return cols <= rows + offset
 
 
-def build_baseline_mask(layout: TokenLayout) -> FlowMask:
+def build_baseline_mask(layout: TokenLayout) -> np.ndarray:
     """Square causal mask over the full [vision; text] stream.
 
     Because vision tokens occupy the prefix, the causal rule alone forces the
     text-key block of every vision query row to be all False.
     """
-    total = layout.total
-    return FlowMask(bottom_right_mask(total, total))
+    return bottom_right_mask(layout.total, layout.total)
 
 
 def build_cross_mask(
     layout: TokenLayout,
     include_vision: bool = True,
     system_reads_vision: bool = True,
-) -> FlowMask:
+) -> np.ndarray:
     """Mask for text queries over [vision keys; text keys].
 
     Equals the last ``n_text`` rows of the baseline mask: every text row sees
@@ -135,12 +114,11 @@ def build_cross_mask(
     """
     t = layout.n_text
     if not include_vision:
-        return FlowMask(bottom_right_mask(t, t))
+        return bottom_right_mask(t, t)
     allowed = bottom_right_mask(t, layout.n_vision + t)
     if not system_reads_vision:
-        allowed = allowed.copy()
         allowed[: layout.t_system, : layout.n_vision] = False
-    return FlowMask(allowed)
+    return allowed
 
 
 def split_heads(x: np.ndarray, n_heads: int) -> list[np.ndarray]:
@@ -170,13 +148,14 @@ def masked_attention_oracle(
     q: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
-    mask: FlowMask,
+    allowed: np.ndarray,
     n_heads: int,
 ) -> np.ndarray:
     """Reference multi-head attention with an explicit permission mask.
 
-    Per head: softmax(Q K^T / sqrt(d_head)) V with masked positions excluded
-    from the softmax reductions. Head outputs are concatenated; any output
+    ``allowed`` is a boolean (queries, keys) matrix. Per head:
+    softmax(Q K^T / sqrt(d_head)) V with masked positions excluded from the
+    softmax reductions. Head outputs are concatenated; any output
     projection is the caller's business.
     """
     q = np.asarray(q)
@@ -184,9 +163,9 @@ def masked_attention_oracle(
     v = np.asarray(v)
     if q.shape[1] != k.shape[1] or k.shape != v.shape:
         raise ShapeError(f"q {q.shape}, k {k.shape}, v {v.shape} are inconsistent")
-    if mask.allowed.shape != (q.shape[0], k.shape[0]):
+    if np.shape(allowed) != (q.shape[0], k.shape[0]):
         raise ShapeError(
-            f"mask {mask.allowed.shape} does not cover q {q.shape[0]} by kv {k.shape[0]}"
+            f"mask {np.shape(allowed)} does not cover q {q.shape[0]} by kv {k.shape[0]}"
         )
     d_head = q.shape[1] // n_heads
     scale = 1.0 / math.sqrt(d_head)
@@ -198,24 +177,19 @@ def masked_attention_oracle(
         split_heads(out, n_heads),
     ):
         scores = matmul(q_h, k_h.T)
-        weights = row_softmax(scores, mask.allowed, scale)
+        weights = row_softmax(scores, allowed, scale)
         o_h[:] = matmul(weights, v_h)
     return out
 
 
-def attention_weights(
-    q: np.ndarray,
-    k: np.ndarray,
-    mask: FlowMask,
-    n_heads: int,
-) -> np.ndarray:
-    """Head-averaged attention-weight matrix under ``mask`` (no value mix).
+def attention_weights(q: np.ndarray, k: np.ndarray, n_heads: int) -> np.ndarray:
+    """Head-averaged attention-weight matrix of every query over every key.
 
-    All heads' scores come from one batched product and go through one
-    :func:`~vica.numerics.row_softmax` call as a ``(heads * rows, keys)``
-    matrix under the mask repeated per head. Accumulates in the dtype of
-    ``q`` and ``k``. The engine calls it with one query row, the last text
-    row of a drop layer.
+    No mask and no value mix. All heads' scores come from one batched
+    product and go through one :func:`~vica.numerics.row_softmax` call as a
+    ``(heads * rows, keys)`` matrix. Accumulates in the dtype of ``q`` and
+    ``k``. The engine calls it with one query row, the last text row of a
+    drop layer, which sees every key.
     """
     q, k = np.asarray(q), np.asarray(k)
     (rows, d), kv_len = q.shape, k.shape[0]
@@ -224,9 +198,7 @@ def attention_weights(
     scores = _head_major(q, n_heads) @ _head_major(k, n_heads).transpose(0, 2, 1)
     add_macs(rows * d * kv_len)
     probs = row_softmax(
-        scores.reshape(n_heads * rows, kv_len),
-        np.tile(mask.allowed, (n_heads, 1)),
-        1.0 / math.sqrt(d // n_heads),
+        scores.reshape(n_heads * rows, kv_len), scale=1.0 / math.sqrt(d // n_heads)
     )
     return probs.reshape(n_heads, rows, kv_len).sum(axis=0) / n_heads
 
@@ -247,10 +219,10 @@ def asymmetric_cross_attention(
     plain causal self-attention, which is how the engine runs the vision
     rows of a joint layer.
 
-    The query rows split into blocks as :func:`~vica.numerics.row_softmax`
-    splits its rows (``max(1, t // _ROW_BLOCK)`` even blocks), and the heads
-    split evenly into groups of at most ``_TILE // (block rows * kv_len)``
-    heads (at least one), so one group's score tile stays cache-sized.
+    The query rows split into ``max(1, t // _ROW_BLOCK)`` even blocks, and
+    the heads split evenly into groups of at most ``_TILE // (block rows *
+    kv_len)`` heads (at least one), so one group's score tile stays
+    cache-sized.
     q, k, v and the output are viewed head-major, and one loop runs over
     (head group, row block): the group's block ``[r0, r1)`` forms scores
     only against keys ``0 .. n + r1 - 1``, its last permitted one, so the

@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import FROZEN_KV_MODES, KV_MODES, PolicyMode, PolicySchedule
-from .pruning import relocate_drop_events, resolve_schedule
+from .model import FROZEN_KV_MODES, KV_MODES, PolicyMode, PolicySchedule, vision_counts
 
 
 @dataclass(frozen=True)
@@ -160,12 +159,7 @@ def resolved_vision_counts(schedule: PolicySchedule, ci: CostInputs) -> list[int
         raise ValueError(
             f"schedule spans {schedule.n_layers} layers, cost inputs {ci.n_layers}"
         )
-    events = schedule.drop_events()
-    if not events:
-        return [ci.n] * schedule.n_layers
-    exposing = [p.mode in KV_MODES for p in schedule.layers]
-    events = relocate_drop_events(events, exposing)
-    return resolve_schedule(events, ci.n, schedule.n_layers)
+    return vision_counts(schedule, ci.n)
 
 
 def kv_cache_fraction(schedule: PolicySchedule, ci: CostInputs) -> float:

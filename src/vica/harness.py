@@ -16,7 +16,7 @@ import math
 import os
 import platform
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,13 +36,11 @@ from .costmodel import (
     tflops,
     total_flops,
     vica_total_flops,
-    vica_vision_flops,
     visual_update_flops,
 )
 from .diagnostics import layer_sweep
 from .model import (
     MODEL_PRESETS,
-    RETAINED_LAYERS,
     WRITE_PATH_KINDS,
     ConfigError,
     ModelConfig,
@@ -52,9 +50,7 @@ from .model import (
     forward_vica_fast,
     init_model,
     parse_schedule,
-    pdrop_baseline_events,
     precompute_visual_kv,
-    schedule_preset,
     schedule_to_disabled_paths,
 )
 from .numerics import MacCounter
@@ -262,7 +258,7 @@ def write_manifest(out_dir: Path, cfg: ExperimentConfig) -> None:
 # ---------------------------------------------------------------------------
 # cost
 
-# Reference results for the three model scales at n=576, t_s=35, t_q=20.
+# Reference results for the three model scales at GOLDEN_LAYOUT.
 # Values are frozen at their displayed precision; tolerances are half a
 # unit in the last displayed digit (0.01 TFLOPs, 0.1 percentage point).
 GOLDEN_NUMBERS = {
@@ -299,6 +295,7 @@ GOLDEN_NUMBERS = {
     },
 }
 GOLDEN_PDROP_MEAN_TOKENS = 270.0
+GOLDEN_LAYOUT = TokenLayout(n_vision=576, t_system=35, t_question=20)
 
 VICA_SCHEDULE_FOR_PRESET = {
     "llava3b": "vica3b",
@@ -307,41 +304,37 @@ VICA_SCHEDULE_FOR_PRESET = {
 }
 
 
-def _preset_quantities(preset: str) -> dict:
-    mc = MODEL_PRESETS[preset]
-    vica_name = VICA_SCHEDULE_FOR_PRESET[preset]
-    sched = schedule_preset(vica_name)
-    ci = CostInputs(
-        mc.n_layers, mc.d_model, mc.d_ffn, n=576,
-        n_retained=len(RETAINED_LAYERS[vica_name][1]),
+def _golden_config(preset: str, schedule: str | None = None) -> ExperimentConfig:
+    """Cost config of ``preset`` at the reference layout, by default under its
+    ``VICA_SCHEDULE_FOR_PRESET`` schedule."""
+    return ExperimentConfig(
+        preset=preset, schedule=schedule or VICA_SCHEDULE_FOR_PRESET[preset],
+        **asdict(GOLDEN_LAYOUT),
     )
-    vis = baseline_vision_flops(ci)["total"]
-    vv = vica_vision_flops(ci)
-    update, ratio = visual_update_flops(ci)
-    out = {
-        "baseline_vision_tflops": tflops(vis),
-        "baseline_total_tflops": tflops(total_flops(ci)),
-        "vica_vision_tflops": tflops(vv),
-        "vica_total_tflops": tflops(vica_total_flops(ci)),
-        "visual_update_pct": ratio * 100,
-        "vica_rel_vision_pct": vv / vis * 100,
-        "equivalent_tokens": equivalent_token_count(ci, vv),
-        "kv_fraction_pct": kv_cache_fraction(sched, ci) * 100,
-    }
-    pc = projector_to_cross_ratio(ci)
-    if pc is not None:
-        out["projector_to_cross_ratio"] = pc
-    return out
 
 
 def check_golden(presets: list[str]) -> list[tuple[str, str, float, float, float, bool]]:
-    """Compare computed quantities to the frozen reference table.
+    """Compare the cost reports at the reference layout to the frozen table.
 
-    Returns rows of (preset, quantity, actual, expected, tol, ok).
+    Each preset's quantities come from :func:`build_cost_report` under the
+    preset's ``VICA_SCHEDULE_FOR_PRESET`` schedule. Returns rows of
+    (preset, quantity, actual, expected, tol, ok).
     """
     rows = []
     for preset in presets:
-        actuals = _preset_quantities(preset)
+        report = build_cost_report(_golden_config(preset))
+        b, s = report["baseline"], report["schedule_costs"]
+        actuals = {
+            "baseline_vision_tflops": tflops(b["vision_total_flops"]),
+            "baseline_total_tflops": tflops(b["total_flops"]),
+            "vica_vision_tflops": tflops(s["vision_flops"]),
+            "vica_total_tflops": tflops(s["total_flops"]),
+            "visual_update_pct": report["visual_update"]["share_of_vision"] * 100,
+            "vica_rel_vision_pct": s["relative_vision"] * 100,
+            "equivalent_tokens": s["equivalent_tokens"],
+            "kv_fraction_pct": s["kv_cache_fraction"] * 100,
+            "projector_to_cross_ratio": report["projector_to_cross_ratio"],
+        }
         for key, spec in GOLDEN_NUMBERS[preset].items():
             if isinstance(spec, tuple):
                 expected, tol = spec
@@ -352,12 +345,8 @@ def check_golden(presets: list[str]) -> list[tuple[str, str, float, float, float
                 (preset, key, actual, expected, tol, abs(actual - expected) <= tol)
             )
     if set(presets) == set(GOLDEN_NUMBERS):
-        sched = PolicySchedule.baseline(32).with_drops(pdrop_baseline_events(32))
-        mc = MODEL_PRESETS["llava7b"]
-        counts = resolved_vision_counts(
-            sched, CostInputs(mc.n_layers, mc.d_model, mc.d_ffn, n=576)
-        )
-        mean = mean_vision_tokens(counts)
+        report = build_cost_report(_golden_config("llava7b", "baseline+pdrop"))
+        mean = report["schedule_costs"]["mean_vision_tokens"]
         rows.append(
             (
                 "llava7b",
@@ -462,19 +451,35 @@ def format_cost_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _golden_request(cfg: ExperimentConfig, explicit_geometry: bool) -> ExperimentConfig:
+    """``cfg`` under the preset's ``VICA_SCHEDULE_FOR_PRESET`` schedule (none
+    without a preset: each is checked under its own) at ``GOLDEN_LAYOUT``;
+    ConfigError if it names another schedule or layout."""
+    if cfg.preset is None and explicit_geometry:
+        raise ConfigError("--golden needs a preset geometry")
+    reference = VICA_SCHEDULE_FOR_PRESET.get(cfg.preset)
+    if cfg.schedule not in (None, reference):
+        raise ConfigError(
+            f"--golden reads schedule {reference or 'vica<size> of each preset'}, "
+            f"not {cfg.schedule!r}"
+        )
+    if cfg.layout() != GOLDEN_LAYOUT:
+        raise ConfigError(f"--golden checks {GOLDEN_LAYOUT}, not {cfg.layout()}")
+    return replace(cfg, schedule=reference)
+
+
 def run_cost(cfg: ExperimentConfig) -> int:
-    out_dir = resolve_out_dir(cfg)
     explicit_geometry = all(
         v is not None for v in (cfg.n_layers, cfg.n_heads, cfg.d_model, cfg.d_ffn)
     )
+    if cfg.golden:
+        cfg = _golden_request(cfg, explicit_geometry)
+    elif cfg.preset is None and not explicit_geometry:
+        raise ConfigError("cost mode needs --preset or explicit geometry")
+    out_dir = resolve_out_dir(cfg)
     if cfg.preset is None and not explicit_geometry:
-        if not cfg.golden:
-            raise ConfigError("cost mode needs --preset or explicit geometry")
         presets = sorted(GOLDEN_NUMBERS)
-        reports = {
-            p: build_cost_report(replace(cfg, preset=p, schedule=VICA_SCHEDULE_FOR_PRESET[p]))
-            for p in presets
-        }
+        reports = {p: build_cost_report(_golden_config(p)) for p in presets}
         dump_json(out_dir / "cost.json", reports)
         for p in presets:
             print(f"== {p} ==")
@@ -488,8 +493,6 @@ def run_cost(cfg: ExperimentConfig) -> int:
 
     if not cfg.golden:
         return EXIT_OK
-    if not presets:
-        raise ConfigError("--golden needs a preset geometry")
     rows = check_golden(presets)
     failures = [r for r in rows if not r[5]]
     width = max(len(f"{r[0]}.{r[1]}") for r in rows)

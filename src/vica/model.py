@@ -35,9 +35,9 @@ weights and inputs.
 ``BASELINE`` layers included. It shares only the norm, projections and FFN
 kernels with the engine; its attention is
 :func:`~vica.attention.masked_attention_oracle` over the full square score
-matrix under an explicit :class:`~vica.attention.FlowMask`. It reproduces the
-policy modes purely by disabling write/read paths (zeroed residual slices,
-masked attention blocks), which is the semantic claim the equivalence suite
+matrix under an explicit boolean mask. It reproduces the policy modes
+purely by disabling write/read paths (zeroed residual slices, masked
+attention blocks), which is the semantic claim the equivalence suite
 checks.
 """
 
@@ -49,7 +49,6 @@ from enum import Enum
 import numpy as np
 
 from .attention import (
-    FlowMask,
     TokenLayout,
     asymmetric_cross_attention,
     attention_weights,
@@ -279,18 +278,6 @@ class Weights:
     out_gain: np.ndarray
     w_out: np.ndarray        # (d, vocab)
 
-    def shape_manifest(self) -> dict[str, tuple[int, ...]]:
-        manifest: dict[str, tuple[int, ...]] = {"pos": self.pos.shape}
-        for l, lw in enumerate(self.layers):
-            for name in (
-                "attn_gain", "wq", "wk", "wv", "wo",
-                "ffn_gain", "w_gate", "w_up", "w_down",
-            ):
-                manifest[f"layers.{l}.{name}"] = getattr(lw, name).shape
-        manifest["out_gain"] = self.out_gain.shape
-        manifest["w_out"] = self.w_out.shape
-        return manifest
-
     def astype(self, dtype) -> "Weights":
         """Copy with every tensor cast to ``dtype`` (for benchmark runs)."""
         cast = lambda a: np.ascontiguousarray(a, dtype=dtype)
@@ -437,14 +424,14 @@ def _embed_text(weights: Weights, text_emb: np.ndarray, n_vision: int) -> np.nda
 def _baseline_layer(
     h: np.ndarray,
     lw: LayerWeights,
-    mask: FlowMask,
+    allowed: np.ndarray,
     n_heads: int,
     n_vision: int,
     *,
     vis_attn_write: bool = True,
     vis_ffn_write: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The referee's joint layer: masked attention over the whole stream.
+    """The referee's joint layer: attention under ``allowed`` over the whole stream.
 
     Flags carve out the vision write paths. Returns (h_post_attn, h_post_ffn)
     as new arrays; ``h`` is only read.
@@ -453,7 +440,7 @@ def _baseline_layer(
     q = matmul(x, lw.wq)
     k = matmul(x, lw.wk)
     v = matmul(x, lw.wv)
-    delta = matmul(masked_attention_oracle(q, k, v, mask, n_heads), lw.wo)
+    delta = matmul(masked_attention_oracle(q, k, v, allowed, n_heads), lw.wo)
     if not vis_attn_write:
         delta[:n_vision] = 0.0
     h_attn = h + delta
@@ -497,8 +484,7 @@ def _layer(
         k_pre, v_pre = prefix_kv
         n_pre = k_pre.shape[0]
         if keep is not None and keep < n_pre:
-            last_row = FlowMask(np.ones((1, n_pre + k.shape[0]), dtype=bool))
-            w = attention_weights(q[-1:], np.vstack([k_pre, k]), last_row, n_heads)
+            w = attention_weights(q[-1:], np.vstack([k_pre, k]), n_heads)
             kept = select_kept_tokens(w[:, :n_pre], keep)
             k_pre, v_pre = k_pre[kept], v_pre[kept]
         k, v = np.vstack([k_pre, k]), np.vstack([v_pre, v])
@@ -533,7 +519,7 @@ def forward(
             f"layout {layout} does not match embeddings ({n0} vision, {t} text)"
         )
     cfg = weights.config
-    drop_targets = _resolved_drop_targets(schedule, n0)
+    counts = vision_counts(schedule, n0)
     n_blind = 0 if system_reads_vision else layout.t_system
 
     v_rows = np.array(vision_emb, copy=True)
@@ -546,7 +532,7 @@ def forward(
             n_in = v_rows.shape[0]
             vision_kv = _vision_kv(v_rows, lw) if pol.mode in KV_MODES else None
             t_attn, t_ffn, kept = _layer(
-                t_rows, lw, cfg.n_heads, vision_kv, n_blind, drop_targets.get(l)
+                t_rows, lw, cfg.n_heads, vision_kv, n_blind, counts[l]
             )
             if kept is not None:
                 v_rows = v_rows[kept]
@@ -625,9 +611,9 @@ def _oracle_layers(weights: Weights, h: np.ndarray, n: int, disabled: dict[int, 
     no_t2v[n:, :n] = False
     for l in range(start, weights.config.n_layers):
         off = disabled.get(l, set())
-        mask = FlowMask(no_t2v if "t2v_read" in off else causal)
         h_attn, h_ffn = _baseline_layer(
-            h, weights.layers[l], mask, weights.config.n_heads, n,
+            h, weights.layers[l], no_t2v if "t2v_read" in off else causal,
+            weights.config.n_heads, n,
             vis_attn_write="vis_attn_write" not in off,
             vis_ffn_write="vis_ffn_write" not in off,
         )
@@ -728,12 +714,12 @@ def forward_vica_fast(
 # multiply-accumulate accounting
 
 
-def _resolved_drop_targets(schedule: PolicySchedule, n_vision: int) -> dict[int, int]:
-    """Per-layer vision-count targets for the schedule's drop events."""
+def vision_counts(schedule: PolicySchedule, n_vision: int) -> list[int]:
+    """Vision-token count at each layer under the schedule's drop events; an
+    event at a layer without vision KV moves to the next layer with it."""
     exposing = [p.mode in KV_MODES for p in schedule.layers]
     events = relocate_drop_events(schedule.drop_events(), exposing)
-    counts = resolve_schedule(events, n_vision, schedule.n_layers)
-    return {l: counts[l] for l in events}
+    return resolve_schedule(events, n_vision, schedule.n_layers)
 
 
 def count_forward_macs(
@@ -763,7 +749,7 @@ def count_forward_macs(
     t = layout.n_text
     if path == "fast":
         _check_fast_schedule(schedule)
-    drop_targets = _resolved_drop_targets(schedule, layout.n_vision)
+    counts = vision_counts(schedule, layout.n_vision)
 
     def layer(rows: int, n_prefix: int) -> int:
         # q/k/v/o projections, FFN, causal attention over the prefix keys
@@ -774,10 +760,10 @@ def count_forward_macs(
     n = layout.n_vision
     for l, pol in enumerate(schedule.layers):
         n_in = n
-        if drop_targets.get(l, n_in) < n_in:
+        if counts[l] < n_in:
             # the last text row's scores over [vision keys; text keys]
             macs += d * (n_in + t)
-            n = drop_targets[l]
+            n = counts[l]
         if pol.mode not in KV_MODES:
             macs += layer(t, 0)
             continue

@@ -5,23 +5,15 @@ default; float32 is accepted for benchmark runs). Masked softmax uses
 exclusion-from-reduction semantics, so masked positions come out as exact
 zeros rather than tiny exponentials.
 
-The softmax and SiLU kernels spend their time on arithmetic, not on
-temporaries. :func:`row_softmax` works a block of rows at a time in one
-small buffer, masks it in place and stops each block at its last permitted
-key column, so the causally masked half of a square score matrix is neither
-copied nor exponentiated. It does not shrink the products around it: its
-callers form their score matrices in full. The masked oracle does so per
-head with :func:`matmul` and its value mix consumes the full result; the
-engine's one-row drop scoring (:func:`~vica.attention.attention_weights`)
-forms all heads' scores in one batched product and passes them as one
-``(heads * rows, keys)`` matrix. The engine's causal kernel
+:func:`row_softmax` is one pass over the whole score matrix, in the result
+array itself; its callers are the masked oracle (per head, under its explicit
+mask) and the engine's one-row drop scoring
+(:func:`~vica.attention.attention_weights`, all heads as one ``(heads, keys)``
+matrix, unmasked). The engine's causal kernel
 (:func:`~vica.attention.asymmetric_cross_attention`) does not call it: it
-blocks its query rows the same way, runs a group of heads per block in
-reused buffers and never forms the masked key tiles at all. Where a bound
-on its scores proves ``exp`` cannot overflow, it also skips the ``-inf``
-mask and the max shift that :func:`row_softmax` always applies: it
-exponentiates unshifted and zeroes the masked entries. :func:`silu` works
-in place on fixed-size chunks.
+blocks its query rows, runs a group of heads per block in reused buffers and
+never forms the masked key tiles at all. :func:`silu` works in place on
+fixed-size chunks.
 """
 
 from __future__ import annotations
@@ -34,10 +26,9 @@ import numpy as np
 # RMS normalization epsilon. Fixed, not configurable.
 RMS_EPS = 1e-6
 
-# Least rows per block in row_softmax and in the causal attention kernel: the
-# rows split evenly into rows // _ROW_BLOCK blocks, so there is no short tail
-# block whose call overhead outweighs the columns it skips. Fixed, not
-# configurable.
+# Least rows per block in the causal attention kernel: the rows split evenly
+# into rows // _ROW_BLOCK blocks, so there is no short tail block whose call
+# overhead outweighs the columns it skips. Fixed, not configurable.
 _ROW_BLOCK = 64
 
 # Elements per chunk in silu (256 KiB of float64). Fixed, not configurable.
@@ -113,16 +104,12 @@ def row_softmax(
     excluded from the max/sum reductions entirely and come back as exact 0.0.
     A row with no permitted entries yields an all-zero row.
 
-    The result is a zero-filled buffer written a block of rows at a time
-    (``_ROW_BLOCK`` to ``2 * _ROW_BLOCK - 1`` rows, or all of them when
-    there are fewer). A block covers only the key columns up to its last
-    permitted one; the columns past it stay exact zeros and are never
-    exponentiated. For each block, ``scale * scores`` goes into one work
-    buffer, the masked entries are set to ``-inf`` in place, the max shift
-    and ``exp`` run in place, and the row normalization writes the block of
-    the result. ``scores`` and ``allowed`` are never written. Only the
-    softmax skips masked tiles: the caller has already formed ``scores`` in
-    full, and its value mix consumes the full result, zeros included.
+    The zero-filled result array is the only work buffer, and every pass
+    over it (scale, row max, shift, ``exp``, divide by the row sum) runs
+    with ``where=allowed``: the masked entries are never written and stay
+    0.0, and a row without a permitted entry is never touched.
+    ``scores`` and ``allowed`` are never written. Zero-row or zero-column
+    input returns an empty result.
     """
     scores = np.asarray(scores)
     if scores.ndim != 2:
@@ -134,36 +121,13 @@ def row_softmax(
                 f"mask shape {allowed.shape} does not match scores {scores.shape}"
             )
 
-    rows, cols = scores.shape
-    dtype = np.result_type(scores, scale, -np.inf)
-    probs = np.zeros(scores.shape, dtype=dtype)
-    n_blocks = max(1, rows // _ROW_BLOCK)
-    if cols == 0:  # no keys at all: every row is empty and stays zero
-        n_blocks = 0
-    for b in range(n_blocks):
-        r0, r1 = b * rows // n_blocks, (b + 1) * rows // n_blocks
-        lim = cols
-        if allowed is not None:
-            seen = allowed[r0:r1].any(axis=0)
-            lim = cols - int(np.argmax(seen[::-1]))
-            if not seen[lim - 1]:  # no permitted entry in the whole block
-                continue
-        # contiguous work buffer: ufuncs over a short-row strided view are slower
-        block = np.multiply(scores[r0:r1, :lim], scale, dtype=dtype)
-        if allowed is not None:
-            np.copyto(block, -np.inf, where=~allowed[r0:r1, :lim])
-        row_max = block.max(axis=1, keepdims=True)
-        dead = None
-        if allowed is not None and row_max.min() == -np.inf:
-            # rows without a permitted entry: keep -inf - -inf = nan out of them
-            dead = ~allowed[r0:r1, :lim].any(axis=1)
-            row_max[dead] = 0.0
-        block -= row_max
-        np.exp(block, out=block)  # masked entries: exp(-inf) == 0.0
-        denom = block.sum(axis=1, keepdims=True)
-        if dead is not None:
-            denom[dead] = 1.0
-        np.divide(block, denom, out=probs[r0:r1, :lim])
+    live = True if allowed is None else allowed
+    probs = np.zeros(scores.shape, dtype=np.result_type(scores, scale, -np.inf))
+    np.multiply(scores, scale, out=probs, where=live)
+    row_max = probs.max(axis=1, keepdims=True, where=live, initial=-np.inf)
+    np.subtract(probs, row_max, out=probs, where=live)
+    np.exp(probs, out=probs, where=live)
+    np.divide(probs, probs.sum(axis=1, keepdims=True), out=probs, where=live)
     return probs
 
 

@@ -90,9 +90,9 @@ def test_criterion_3_mask_semantics():
         cross = bottom_right_mask(layout.n_text, total)
         ok &= bool(np.array_equal(sliced, cross))
         baseline = build_baseline_mask(layout)
-        ok &= not baseline.allowed[:n, :n][~np.tri(n, dtype=bool)].any() if n else True
+        ok &= not baseline[:n, :n][~np.tri(n, dtype=bool)].any() if n else True
         # text rows can never be visible to vision rows
-        ok &= not baseline.allowed[:n, n:].any()
+        ok &= not baseline[:n, n:].any()
     _report(3, "bottom-right mask equals causal slice; A_VT all-false", ok,
             "500 layouts, exact boolean equality")
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from vica import attention
 from vica.attention import (
-    FlowMask,
     TokenLayout,
     asymmetric_cross_attention,
     attention_weights,
@@ -153,11 +152,11 @@ class TestBottomRightRule:
 
 class TestBaselineMask:
     def test_no_vision_is_lower_triangular(self):
-        mask = build_baseline_mask(TokenLayout(0, 1, 2)).allowed
+        mask = build_baseline_mask(TokenLayout(0, 1, 2))
         assert np.array_equal(mask, np.tril(np.ones((3, 3), dtype=bool)))
 
     def test_small_layout_rows(self):
-        mask = build_baseline_mask(TokenLayout(2, 1, 1)).allowed
+        mask = build_baseline_mask(TokenLayout(2, 1, 1))
         expected = np.array(
             [
                 [1, 0, 0, 0],
@@ -171,27 +170,27 @@ class TestBaselineMask:
 
     def test_allowed_count(self):
         # 6 tokens causal: 6*7/2 = 21 permitted pairs
-        mask = build_baseline_mask(TokenLayout(3, 2, 1)).allowed
+        mask = build_baseline_mask(TokenLayout(3, 2, 1))
         assert int(mask.sum()) == 21
 
     @given(st.integers(0, 12), st.integers(0, 6), st.integers(0, 6))
     @settings(max_examples=60, deadline=None)
     def test_vision_rows_never_see_text(self, n, ts, tq):
         layout = TokenLayout(n, ts, tq)
-        mask = build_baseline_mask(layout).allowed
+        mask = build_baseline_mask(layout)
         assert not mask[: layout.n_vision, layout.n_vision :].any()
 
 
 class TestCrossMask:
     def test_small_layout_rows(self):
-        mask = build_cross_mask(TokenLayout(2, 1, 1)).allowed
+        mask = build_cross_mask(TokenLayout(2, 1, 1))
         expected = np.array([[1, 1, 1, 0], [1, 1, 1, 1]], dtype=bool)
         assert np.array_equal(mask, expected)
 
     def test_no_vision_equals_causal(self):
         layout = TokenLayout(0, 2, 2)
-        with_vision = build_cross_mask(layout, include_vision=True).allowed
-        text_only = build_cross_mask(layout, include_vision=False).allowed
+        with_vision = build_cross_mask(layout, include_vision=True)
+        text_only = build_cross_mask(layout, include_vision=False)
         causal = np.tril(np.ones((4, 4), dtype=bool))
         assert np.array_equal(with_vision, causal)
         assert np.array_equal(text_only, causal)
@@ -202,25 +201,25 @@ class TestCrossMask:
             layout = TokenLayout(
                 int(rng.integers(0, 10)), int(rng.integers(0, 5)), int(rng.integers(1, 5))
             )
-            full = build_baseline_mask(layout).allowed
-            cross = build_cross_mask(layout).allowed
+            full = build_baseline_mask(layout)
+            cross = build_cross_mask(layout)
             assert np.array_equal(cross, full[layout.n_vision :, :])
 
     @given(st.integers(0, 10), st.integers(0, 5), st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
     def test_slice_identity_property(self, n, ts, tq):
         layout = TokenLayout(n, ts, tq)
-        full = build_baseline_mask(layout).allowed
-        cross = build_cross_mask(layout).allowed
+        full = build_baseline_mask(layout)
+        cross = build_cross_mask(layout)
         assert np.array_equal(cross, full[n:, :])
 
     def test_system_rows_can_be_blinded(self):
         layout = TokenLayout(3, 2, 2)
-        mask = build_cross_mask(layout, system_reads_vision=False).allowed
+        mask = build_cross_mask(layout, system_reads_vision=False)
         assert not mask[:2, :3].any()          # system rows see no vision
         assert mask[2:, :3].all()              # question rows still do
         # text-text causality untouched
-        default = build_cross_mask(layout).allowed
+        default = build_cross_mask(layout)
         assert np.array_equal(mask[:, 3:], default[:, 3:])
 
 
@@ -230,7 +229,7 @@ class TestMaskedAttentionOracle:
         q = rng.standard_normal((4, 6))
         k = rng.standard_normal((4, 6))
         v = rng.standard_normal((4, 6))
-        mask = FlowMask(np.eye(4, dtype=bool))
+        mask = np.eye(4, dtype=bool)
         out = masked_attention_oracle(q, k, v, mask, n_heads=2)
         np.testing.assert_allclose(out, v, atol=1e-12)
 
@@ -239,7 +238,7 @@ class TestMaskedAttentionOracle:
         k = rng.standard_normal((5, 4))
         v = rng.standard_normal((5, 4))
         allowed = np.array([[True, True, False, True, False]])
-        out = masked_attention_oracle(np.zeros((1, 4)), k, v, FlowMask(allowed), 1)
+        out = masked_attention_oracle(np.zeros((1, 4)), k, v, allowed, 1)
         np.testing.assert_allclose(out[0], v[[0, 1, 3]].mean(axis=0), atol=1e-12)
 
     def test_matches_loop_oracle(self):
@@ -249,7 +248,7 @@ class TestMaskedAttentionOracle:
         v = rng.standard_normal((7, 8))
         allowed = rng.random((5, 7)) < 0.6
         allowed[:, 0] = True
-        out = masked_attention_oracle(q, k, v, FlowMask(allowed), n_heads=2)
+        out = masked_attention_oracle(q, k, v, allowed, n_heads=2)
         expected = attention_loop_oracle(q, k, v, allowed, n_heads=2)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -257,49 +256,43 @@ class TestMaskedAttentionOracle:
         with pytest.raises(ShapeError):
             masked_attention_oracle(
                 np.zeros((2, 4)), np.zeros((3, 4)), np.zeros((3, 4)),
-                FlowMask(np.ones((2, 2), dtype=bool)), 1,
+                np.ones((2, 2), dtype=bool), 1,
             )
 
     def test_weights_are_head_averaged_and_row_stochastic(self):
         rng = np.random.default_rng(3)
         q = rng.standard_normal((3, 8))
         k = rng.standard_normal((6, 8))
-        mask = FlowMask(bottom_right_mask(3, 6))
-        w = attention_weights(q, k, mask, n_heads=4)
+        w = attention_weights(q, k, n_heads=4)
         assert w.shape == (3, 6)
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(w[~mask.allowed] == 0.0)
 
     def test_weights_equal_per_head_loop(self):
-        # one query row, as the engine scores drops: bit-equal to summing the
-        # per-head softmaxes in head order
+        # one query row, as the engine scores drops, and several: bit-equal to
+        # summing the per-head softmaxes in head order
         rng = np.random.default_rng(4)
-        q = rng.standard_normal((1, 64))
         k = rng.standard_normal((40, 64))
-        mask = FlowMask(np.ones((1, 40), dtype=bool))
-        acc = np.zeros((1, 40))
-        for h in range(8):
-            cols = slice(h * 8, (h + 1) * 8)
-            acc += row_softmax(q[:, cols] @ k[:, cols].T, mask.allowed, 1 / math.sqrt(8))
-        assert np.array_equal(attention_weights(q, k, mask, n_heads=8), acc / 8)
+        for rows in (1, 3, 7):
+            q = rng.standard_normal((rows, 64))
+            acc = np.zeros((rows, 40))
+            for h in range(8):
+                cols = slice(h * 8, (h + 1) * 8)
+                acc += row_softmax(q[:, cols] @ k[:, cols].T, scale=1 / math.sqrt(8))
+            assert np.array_equal(attention_weights(q, k, n_heads=8), acc / 8)
 
     def test_weights_shapes_checked(self):
-        mask = FlowMask(np.ones((2, 3), dtype=bool))
         with pytest.raises(ShapeError):
-            attention_weights(np.zeros((2, 8)), np.zeros((3, 16)), mask, 4)
+            attention_weights(np.zeros((2, 8)), np.zeros((3, 16)), 4)
         with pytest.raises(ShapeError):
-            attention_weights(np.zeros((2, 8)), np.zeros((3, 8)), mask, 3)
-        with pytest.raises(ShapeError):
-            attention_weights(np.zeros((2, 8)), np.zeros((4, 8)), mask, 4)
+            attention_weights(np.zeros((2, 8)), np.zeros((3, 8)), 3)
 
     def test_weights_float32_in_float32_out(self):
         rng = np.random.default_rng(5)
         q = rng.standard_normal((3, 8))
         k = rng.standard_normal((6, 8))
-        mask = FlowMask(bottom_right_mask(3, 6))
-        w32 = attention_weights(q.astype(np.float32), k.astype(np.float32), mask, n_heads=4)
+        w32 = attention_weights(q.astype(np.float32), k.astype(np.float32), n_heads=4)
         assert w32.dtype == np.float32
-        np.testing.assert_allclose(w32, attention_weights(q, k, mask, n_heads=4), atol=1e-6)
+        np.testing.assert_allclose(w32, attention_weights(q, k, n_heads=4), atol=1e-6)
 
 
 class TestAsymmetricCrossAttention:
@@ -309,7 +302,7 @@ class TestAsymmetricCrossAttention:
         k = rng.standard_normal((5, 8))
         v = rng.standard_normal((5, 8))
         fast = asymmetric_cross_attention(q, k, v, n_heads=2)
-        mask = FlowMask(np.tril(np.ones((5, 5), dtype=bool)))
+        mask = np.tril(np.ones((5, 5), dtype=bool))
         np.testing.assert_allclose(
             fast, masked_attention_oracle(q, k, v, mask, 2), atol=1e-12
         )
@@ -320,7 +313,7 @@ class TestAsymmetricCrossAttention:
         k = rng.standard_normal((9, 4))
         v = rng.standard_normal((9, 4))
         fast = asymmetric_cross_attention(q, k, v, n_heads=1)
-        mask = FlowMask(np.ones((1, 9), dtype=bool))
+        mask = np.ones((1, 9), dtype=bool)
         np.testing.assert_allclose(
             fast, masked_attention_oracle(q, k, v, mask, 1), atol=1e-12
         )
@@ -331,7 +324,7 @@ class TestAsymmetricCrossAttention:
         k = rng.standard_normal((6 + 4, 8))
         v = rng.standard_normal((6 + 4, 8))
         fast = asymmetric_cross_attention(q, k, v, n_heads=2)
-        mask = FlowMask(bottom_right_mask(4, 10))
+        mask = bottom_right_mask(4, 10)
         np.testing.assert_allclose(
             fast, masked_attention_oracle(q, k, v, mask, 2), atol=1e-12
         )
@@ -359,7 +352,7 @@ class TestAsymmetricCrossAttention:
         n, t, n_blind = 3, 6, 2
         mask = build_cross_mask(TokenLayout(n, n_blind, t - n_blind), True, False)
         rng = np.random.default_rng(12)
-        q = ~mask.allowed + 0.01 * rng.standard_normal((t, n + t))
+        q = ~mask + 0.01 * rng.standard_normal((t, n + t))
         k = big * np.eye(n + t) + 0.01 * rng.standard_normal((n + t, n + t))
         v = rng.standard_normal((n + t, n + t))
         assert (_score_bound(q, k, 1) > _exp_limit(np.float64)) == (big > 100)
@@ -393,7 +386,7 @@ class TestAsymmetricCrossAttention:
         v = rng.standard_normal((n + t, 12))
         {"q": q, "k": k}[operand][row, col] = np.nan
         fast = asymmetric_cross_attention(q, k, v, n_heads)
-        ref = masked_attention_oracle(q, k, v, FlowMask(bottom_right_mask(t, n + t)), n_heads)
+        ref = masked_attention_oracle(q, k, v, bottom_right_mask(t, n + t), n_heads)
         assert np.isnan(fast).any()
         assert np.array_equal(np.isnan(fast), np.isnan(ref))
         np.testing.assert_allclose(fast, ref, atol=1e-12)

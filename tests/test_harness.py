@@ -161,6 +161,26 @@ class TestCliCost:
         assert code == EXIT_VERIFY_FAILED
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("args", [
+        ["--preset", "llava7b", "--n", "100", "--schedule", "baseline"],
+        ["--preset", "llava7b", "--schedule", "baseline"],
+        ["--preset", "llava7b", "--t-question", "19"],
+        ["--schedule", "vica7b"],
+        ["--layers", "2", "--heads", "2", "--d-model", "8", "--d-ffn", "16"],
+    ])
+    def test_golden_of_another_report_is_config_error(self, tmp_path, args):
+        # the check reads each preset's vica schedule at n=576 t_s=35 t_q=20;
+        # a report of anything else is refused before any file is written
+        out = tmp_path / "out"
+        assert main(["cost", *args, "--golden", "--out", str(out)]) == EXIT_CONFIG_ERROR
+        assert not out.exists()
+
+    def test_golden_schedule_defaults_to_the_presets(self, tmp_path, capsys):
+        assert main(["cost", "--preset", "llava7b", "--golden", "--out", str(tmp_path)]) == EXIT_OK
+        assert "schedule           vica7b" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"]["schedule"] == "vica7b"
+
     def test_full_sweep_without_preset(self, tmp_path, capsys):
         code = main(["cost", "--golden", "--out", str(tmp_path)])
         assert code == EXIT_OK

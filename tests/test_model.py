@@ -1,12 +1,13 @@
 """Engine tests: policy modes, the masked-oracle equivalences, decoupled KV,
 seeded init, and instrumented multiply-accumulate accounting."""
 
+import math
+
 import numpy as np
 import pytest
 
 import vica.model as model_module
 from vica.attention import (
-    FlowMask,
     TokenLayout,
     attention_weights,
     bottom_right_mask,
@@ -34,7 +35,7 @@ from vica.model import (
     _baseline_layer,
     _embed_text,
 )
-from vica.numerics import MacCounter, ShapeError, matmul, rms_norm
+from vica.numerics import MacCounter, ShapeError, matmul, rms_norm, row_softmax
 from vica.pruning import select_kept_tokens
 
 
@@ -126,16 +127,15 @@ class TestInitAndSerialization:
 
     def test_shape_manifest(self):
         cfg = ModelConfig(n_layers=2, n_heads=2, d_model=8, d_ffn=16, vocab=13, max_seq=64)
-        manifest = init_model(cfg, 0).shape_manifest()
+        w = init_model(cfg, 0)
         per_layer = {
             "attn_gain": (8,), "wq": (8, 8), "wk": (8, 8), "wv": (8, 8), "wo": (8, 8),
             "ffn_gain": (8,), "w_gate": (8, 16), "w_up": (8, 16), "w_down": (16, 8),
         }
-        expected = {"pos": (64, 8), "out_gain": (8,), "w_out": (8, 13)}
-        for l in range(2):
-            for k, v in per_layer.items():
-                expected[f"layers.{l}.{k}"] = v
-        assert manifest == expected
+        assert (w.pos.shape, w.out_gain.shape, w.w_out.shape) == ((64, 8), (8,), (8, 13))
+        assert len(w.layers) == 2
+        for lw in w.layers:
+            assert {k: getattr(lw, k).shape for k in lw.__dataclass_fields__} == per_layer
 
 
 class TestForwardPolicies:
@@ -251,7 +251,7 @@ class TestMaskedOracleEquivalence:
         allowed[n : n + layout.t_system, :n] = False
         h = np.vstack([ve, _embed_text(w, te, n)])
         for lw in w.layers:
-            h = _baseline_layer(h, lw, FlowMask(allowed), 2, n)[1]
+            h = _baseline_layer(h, lw, allowed, 2, n)[1]
         assert np.abs(engine.vision_hidden - h[:n]).max() <= 1e-12
         assert np.abs(engine.text_hidden - h[n:]).max() <= 1e-12
         # the blind rows do change the result
@@ -471,13 +471,17 @@ class TestDropIntegration:
 
 def full_block_kept(entry, n, lw, n_heads, keep):
     """Kept vision rows by the full-block rule: every text query against
-    [vision keys; text keys] under the cross mask, then the final row."""
+    [vision keys; text keys] under the cross mask, one softmax per head,
+    averaged over the heads, then the final row."""
     t = entry.shape[0] - n
     x = rms_norm(entry, lw.attn_gain)
-    weights = attention_weights(
-        matmul(x[n:], lw.wq), matmul(x, lw.wk), build_cross_mask(TokenLayout(n, 0, t)),
-        n_heads,
-    )
+    q, k = matmul(x[n:], lw.wq), matmul(x, lw.wk)
+    allowed = build_cross_mask(TokenLayout(n, 0, t))
+    d_head = q.shape[1] // n_heads
+    weights = sum(
+        row_softmax(q[:, cols] @ k[:, cols].T, allowed, 1 / math.sqrt(d_head))
+        for cols in (slice(h * d_head, (h + 1) * d_head) for h in range(n_heads))
+    ) / n_heads
     return select_kept_tokens(weights[-1:, :n], keep)
 
 

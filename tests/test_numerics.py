@@ -80,7 +80,7 @@ def _softmax_masks():
         "causal_219": causal,
         "cross_55x631": bottom_right_mask(55, 631),
         "t2v_read_off": t2v_off,
-        "system_blind": build_cross_mask(layout, system_reads_vision=False).allowed,
+        "system_blind": build_cross_mask(layout, system_reads_vision=False),
         "empty_row": empty_row,
         "empty_row_block": empty_block,
         "trailing_cols_masked": trailing,
@@ -202,6 +202,12 @@ class TestRowSoftmax:
         expected = np.exp([0.0, 2.0])
         expected /= expected.sum()
         np.testing.assert_allclose(out[0], expected, atol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (0, 0), (3, 0)])
+    def test_empty_input_gives_empty_result(self, shape):
+        for allowed in (None, np.zeros(shape, dtype=bool)):
+            out = row_softmax(np.zeros(shape), allowed, 0.5)
+            assert out.shape == shape and out.dtype == np.float64
 
 
 class TestRowSoftmaxBlocks:
