@@ -22,7 +22,7 @@ first. Every engine layer runs on it; a
 joint ``BASELINE`` layer as two calls of the one layer body: the text rows
 over all keys, then the vision rows as their own causal block (no prefix
 keys). :func:`attention_weights` gives unmasked head-averaged attention
-weights, all heads in one batched product and one softmax; the engine
+weights, all heads in one batched product and one softmax; the layer body
 scores vision-token drops with it. The oracle loops over heads, so it
 shares no head layout with the paths it checks.
 """
@@ -34,7 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _ROW_BLOCK, ShapeError, add_macs, matmul, row_softmax
+from .numerics import ShapeError, add_macs, matmul, row_softmax
+
+# Least rows per block in the causal kernel: the rows split evenly into
+# rows // _ROW_BLOCK blocks, so there is no short tail block whose call
+# overhead outweighs the columns it skips. Fixed, not configurable.
+_ROW_BLOCK = 64
 
 # Score elements per head group in the causal kernel (1 MiB of float64): the
 # heads split evenly into groups of at most _TILE // (block rows * kv_len),
@@ -176,9 +181,8 @@ def masked_attention_oracle(
         split_heads(v, n_heads),
         split_heads(out, n_heads),
     ):
-        scores = matmul(q_h, k_h.T)
-        weights = row_softmax(scores, allowed, scale)
-        o_h[:] = matmul(weights, v_h)
+        # one expression, so no head's scores or weights outlive it
+        o_h[:] = matmul(row_softmax(matmul(q_h, k_h.T), allowed, scale), v_h)
     return out
 
 

@@ -18,6 +18,7 @@ import platform
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from statistics import median
 
 import numpy as np
 
@@ -698,17 +699,10 @@ def run_equivalence(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 # bench
 
-def _median(xs: list[float]) -> float:
-    s = sorted(xs)
-    mid = len(s) // 2
-    return s[mid] if len(s) % 2 else 0.5 * (s[mid - 1] + s[mid])
-
-
 def run_bench(cfg: ExperimentConfig) -> int:
     cfg.require_desk_scale()
     if cfg.reps < 1:
         raise ConfigError("bench needs reps >= 1")
-    out_dir = resolve_out_dir(cfg)
     mc = cfg.model_config()
     vica_name = cfg.schedule or ("vica7b" if mc.n_layers == 32 else None)
     if vica_name is None:
@@ -718,6 +712,9 @@ def run_bench(cfg: ExperimentConfig) -> int:
         raise ConfigError(
             f"bench schedule {vica_name!r} retains no cross-attention layers"
         )
+    if sched.drop_events():
+        raise ConfigError(f"bench has no cost model for the drops in {vica_name!r}")
+    out_dir = resolve_out_dir(cfg)
     baseline = PolicySchedule.baseline(mc.n_layers)
     textonly = PolicySchedule.text_only(mc.n_layers)
     layout = cfg.layout()
@@ -764,7 +761,7 @@ def run_bench(cfg: ExperimentConfig) -> int:
     # text-only reads no vision KV, so it has none to build
     text_times = time_reps(lambda: forward_vica_fast(weights, no_kv, te, textonly))
 
-    base_med, vica_med, text_med = _median(base_times), _median(vica_times), _median(text_times)
+    base_med, vica_med, text_med = median(base_times), median(vica_times), median(text_times)
     # against what the vica clock timed: the KV build counts unless decoupled
     wall_over_text = vica_med / text_med - 1
     timed_macs = fast_counter.macs + (0 if cfg.decoupled else pre_counter.macs)
@@ -795,7 +792,7 @@ def run_bench(cfg: ExperimentConfig) -> int:
             "decoupled": cfg.decoupled,
             "baseline_median_s": base_med,
             "vica_median_s": vica_med,
-            "precompute_median_s": _median(pre_times),
+            "precompute_median_s": median(pre_times),
             "textonly_median_s": text_med,
             "wall_overhead_over_textonly": wall_over_text,
             "mac_overhead_over_textonly": macs_over_text,

@@ -13,23 +13,23 @@ layer carries a policy mode:
 * ``TEXT_ONLY``:  vision is neither written nor read; the layer is a plain
                   causal text block and does not project vision KV at all.
 
-Every layer of the engine and the fast path runs one layer body,
-:func:`_layer`: a block of rows goes through causal attention (the kernel
+The engine and the fast path run one layer loop, :func:`_prefill`, and
+every layer one layer body, :func:`_layer`: a block of rows goes through
+causal attention (the kernel
 :func:`~vica.attention.asymmetric_cross_attention`) and the FFN, reading
 read-only prefix keys/values if it is given any. The text rows go first in
-every layer, as such a block over the keys/values of the vision rows
-entering the layer in every mode of ``KV_MODES``; :func:`_vision_kv`
-projects them, as it does for :func:`precompute_visual_kv`. A drop event is
-scored inside that call, from the last text row's attention. Because no
-vision query ever sees a text key, a joint ``BASELINE`` layer factorises
-exactly: the surviving vision rows then run the same body as their own
-causal block over those keys/values. Frozen vision rows never change, so
-their keys/values depend only on the input vision embeddings and the layer
-weights: :func:`precompute_visual_kv` projects them ahead of any text, and
-:func:`forward_vica_fast` runs the same layer body over them without ever
-materializing vision rows in its hidden state. Each row's keys and values
-are projected once per layer; everything computes in the dtype of the
-weights and inputs.
+every layer, as such a block over the vision keys/values of every mode of
+``KV_MODES``; a drop event is scored inside that call, from the last text
+row's attention. No vision query ever sees a text key, so a joint
+``BASELINE`` layer factorises exactly: the surviving vision rows then run
+the same body as their own causal block over those keys/values. The
+loop's vision source is either the vision rows, which :func:`_vision_kv`
+projects at each layer, or the keys/values :func:`precompute_visual_kv`
+projected from them ahead of any text, gathered by the kept rows after a
+cut. Frozen rows never change, so both give the same bits:
+:func:`forward_vica_fast` runs drop schedules without ever materializing
+vision rows, at the price of projecting every row at every retaining
+layer. Everything computes in the dtype of the weights and inputs.
 
 :func:`forward_baseline_masked_oracle` is the referee for all of this,
 ``BASELINE`` layers included. It shares only the norm, projections and FFN
@@ -139,9 +139,6 @@ class PolicySchedule:
         return {
             l: p.drop_keep for l, p in enumerate(self.layers) if p.drop_keep is not None
         }
-
-    def has_drops(self) -> bool:
-        return any(p.drop_keep is not None for p in self.layers)
 
     def with_drops(self, events: dict[int, float]) -> "PolicySchedule":
         for layer in events:
@@ -361,7 +358,7 @@ def parse_path(spec: str, n_layers: int) -> tuple[str, int]:
 
 def schedule_to_disabled_paths(schedule: PolicySchedule) -> frozenset[str]:
     """Express a (drop-free) schedule as a masked-oracle disabled-path set."""
-    if schedule.has_drops():
+    if schedule.drop_events():
         raise ConfigError("drop events have no masked-oracle equivalent")
     disabled: set[str] = set()
     for l, pol in enumerate(schedule.layers):
@@ -518,25 +515,40 @@ def forward(
         raise ConfigError(
             f"layout {layout} does not match embeddings ({n0} vision, {t} text)"
         )
+    return _prefill(
+        weights, schedule, text_emb, v_rows=np.array(vision_emb, copy=True),
+        n_blind=0 if system_reads_vision else layout.t_system,
+        counter=counter, trace=[] if record_trace else None,
+    )
+
+
+def _prefill(weights: Weights, schedule: PolicySchedule, text_emb: np.ndarray, *,
+             v_rows: np.ndarray | None = None, kv: VisualKvSet | None = None, n_blind: int = 0,
+             counter=None, trace: list[LayerTrace] | None = None) -> ForwardResult:
+    """The layers of :func:`forward` and :func:`forward_vica_fast`, then the logits.
+
+    The vision source is the rows ``v_rows`` or a precomputed ``kv``, whose
+    entries are read as they are before the first cut and gathered by the
+    kept indices composed over every cut after it. ``BASELINE`` layers and
+    a ``trace`` need ``v_rows``.
+    """
     cfg = weights.config
+    n0 = kv.n_vision if v_rows is None else len(v_rows)
     counts = vision_counts(schedule, n0)
-    n_blind = 0 if system_reads_vision else layout.t_system
-
-    v_rows = np.array(vision_emb, copy=True)
     t_rows = _embed_text(weights, np.asarray(text_emb), n0)
-    trace: list[LayerTrace] | None = [] if record_trace else None
-
+    chain = None  # kept indices into the input vision rows; None before a cut
     with count_macs(counter):
         for l, pol in enumerate(schedule.layers):
             lw = weights.layers[l]
-            n_in = v_rows.shape[0]
-            vision_kv = _vision_kv(v_rows, lw) if pol.mode in KV_MODES else None
-            t_attn, t_ffn, kept = _layer(
-                t_rows, lw, cfg.n_heads, vision_kv, n_blind, counts[l]
-            )
+            if pol.mode in KV_MODES and v_rows is None:
+                k_vis, v_vis = kv.entries[l]
+                vision_kv = (k_vis, v_vis) if chain is None else (k_vis[chain], v_vis[chain])
+            else:
+                vision_kv = _vision_kv(v_rows, lw) if pol.mode in KV_MODES else None
+            t_attn, t_ffn, kept = _layer(t_rows, lw, cfg.n_heads, vision_kv, n_blind, counts[l])
             if kept is not None:
-                v_rows = v_rows[kept]
-            n_cur = v_rows.shape[0]
+                chain = kept if chain is None else chain[kept]
+                v_rows = None if v_rows is None else v_rows[kept]
 
             # No vision query sees a text key, so a joint layer is the text
             # layer plus the vision rows' own causal layer over the same KV.
@@ -549,14 +561,14 @@ def forward(
                 # cost model charges the dense baseline 2 * d * L^2 (ROADMAP
                 # item 1, gap (a)): credit the masked d * L * (L - 1) here, so
                 # the engine counts what the model charges.
-                total = n_cur + t
+                total = counts[l] + len(t_rows)
                 add_macs(cfg.d_model * total * (total - 1))
 
-            if record_trace:
+            if trace is not None:
                 trace.append(
                     LayerTrace(
-                        layer=l, mode=pol.mode, n_vision_in=n_in, n_vision_out=n_cur,
-                        kept=kept,
+                        layer=l, mode=pol.mode, n_vision_in=counts[l - 1] if l else n0,
+                        n_vision_out=counts[l], kept=kept,
                         h_pre_attn=np.vstack([v_rows, t_rows]),
                         h_post_attn=np.vstack([v_attn, t_attn]),
                         h_post_ffn=np.vstack([v_ffn, t_ffn]),
@@ -655,21 +667,12 @@ def precompute_visual_kv(
     cfg = weights.config
     _check_schedule(cfg, schedule)
     n = _check_rows("vision", vision_emb, cfg.d_model)
-    vision_emb = np.asarray(vision_emb)
     with count_macs(counter):
         entries = {
             l: _vision_kv(vision_emb, weights.layers[l])
             for l in schedule.frozen_vision_layers()
         }
     return VisualKvSet(n, cfg.d_model, entries)
-
-
-def _check_fast_schedule(schedule: PolicySchedule) -> None:
-    """Reject what the fixed-shape, text-only fast path cannot run."""
-    if schedule.has_drops():
-        raise ConfigError("fast path is fixed-shape; run drop schedules on forward()")
-    if any(p.mode is PolicyMode.BASELINE for p in schedule.layers):
-        raise ConfigError("fast path cannot update vision rows (baseline layers)")
 
 
 def forward_vica_fast(
@@ -682,32 +685,26 @@ def forward_vica_fast(
 ) -> ForwardResult:
     """Text-only pipeline attending into precomputed vision KV.
 
-    Vision rows never enter the hidden state; every layer runs the engine's
-    layer body over the text rows, reading the precomputed vision KV at
-    retaining layers.
-    Fixed-shape by construction: schedules with drop events or ``BASELINE``
-    layers are rejected.
+    Vision rows never enter the hidden state: the text rows run the
+    engine's layer loop over the precomputed KV, gathered by the kept rows
+    once a drop event has cut them, so the logits and kept sets are the
+    engine's. The precompute cannot know which rows a later cut drops, so
+    it spends more MACs than the engine: every row at every retaining layer.
+    ``BASELINE`` layers update vision rows and are rejected.
     """
     cfg = weights.config
     _check_inputs(weights, None, text_emb, schedule, n_vision=kv.n_vision)
-    _check_fast_schedule(schedule)
-    expected = set(schedule.frozen_vision_layers())
-    if set(kv.entries) != expected:
-        raise ConfigError(
-            f"kv covers layers {sorted(kv.entries)}, schedule retains {sorted(expected)}"
-        )
+    if any(p.mode is PolicyMode.BASELINE for p in schedule.layers):
+        raise ConfigError("fast path cannot update vision rows (baseline layers)")
+    retained = schedule.frozen_vision_layers()
+    if kv.layers() != retained:
+        raise ConfigError(f"kv covers layers {kv.layers()}, schedule retains {retained}")
     if kv.d_model != cfg.d_model:
         raise ConfigError(f"kv width {kv.d_model} does not match model {cfg.d_model}")
     for l, (k_vis, v_vis) in kv.entries.items():
         if k_vis.shape != (kv.n_vision, cfg.d_model) or v_vis.shape != k_vis.shape:
             raise ConfigError(f"kv entry at layer {l} has shape {k_vis.shape}")
-
-    t_rows = _embed_text(weights, np.asarray(text_emb), kv.n_vision)
-    with count_macs(counter):
-        for l, pol in enumerate(schedule.layers):
-            t_rows = _layer(t_rows, weights.layers[l], cfg.n_heads, kv.entries.get(l))[1]
-        logits = matmul(rms_norm(t_rows, weights.out_gain), weights.w_out)
-    return ForwardResult(None, t_rows, logits, None)
+    return _prefill(weights, schedule, text_emb, kv=kv, counter=counter)
 
 
 # ---------------------------------------------------------------------------
@@ -733,13 +730,13 @@ def count_forward_macs(
     """Exact MAC count the instrumented forward would report, from shapes only.
 
     ``path='engine'`` mirrors :func:`forward`; ``path='fast'`` mirrors
-    :func:`precompute_visual_kv` + :func:`forward_vica_fast` and rejects the
-    schedules the fast path rejects. Every layer of both paths runs the one
-    layer body :func:`_layer`, so one formula counts them all;
-    ``include_kv_precompute=False`` leaves the fast path's vision KV
-    projections out. The counts are validated against live counters in the
-    test suite and exist so preset geometries can be accounted without
-    allocating preset-sized weights.
+    :func:`precompute_visual_kv` + :func:`forward_vica_fast` and rejects
+    ``BASELINE`` layers as they do. Both run one layer loop, so one formula
+    counts them, but for vision KV: the engine projects the rows entering
+    each KV layer, the precompute all input rows at every retaining layer
+    (``include_kv_precompute=False`` leaves those out). The counts are
+    validated against live counters in the test suite and exist so preset
+    geometries can be accounted without allocating preset-sized weights.
     """
     if path not in ("engine", "fast"):
         raise ConfigError(f"unknown path {path!r}")
@@ -747,8 +744,8 @@ def count_forward_macs(
     _check_stream(config, layout.n_vision, layout.n_text)
     d, m = config.d_model, config.d_ffn
     t = layout.n_text
-    if path == "fast":
-        _check_fast_schedule(schedule)
+    if path == "fast" and any(p.mode is PolicyMode.BASELINE for p in schedule.layers):
+        raise ConfigError("fast path cannot update vision rows (baseline layers)")
     counts = vision_counts(schedule, layout.n_vision)
 
     def layer(rows: int, n_prefix: int) -> int:
@@ -768,9 +765,10 @@ def count_forward_macs(
             macs += layer(t, 0)
             continue
         macs += layer(t, n)
-        # layer-entry vision KV, dropped rows included
-        if path == "engine" or include_kv_precompute:
+        if path == "engine":
             macs += 2 * n_in * d * d
+        elif include_kv_precompute:
+            macs += 2 * layout.n_vision * d * d
         if pol.mode is PolicyMode.BASELINE:
             # the vision rows' own layer over that KV (no k/v projection),
             # plus the masked d * L * (L - 1) that forward credits

@@ -26,11 +26,6 @@ import numpy as np
 # RMS normalization epsilon. Fixed, not configurable.
 RMS_EPS = 1e-6
 
-# Least rows per block in the causal attention kernel: the rows split evenly
-# into rows // _ROW_BLOCK blocks, so there is no short tail block whose call
-# overhead outweighs the columns it skips. Fixed, not configurable.
-_ROW_BLOCK = 64
-
 # Elements per chunk in silu (256 KiB of float64). Fixed, not configurable.
 _SILU_CHUNK = 32768
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from vica import attention
 from vica.attention import (
+    _ROW_BLOCK,
     TokenLayout,
     asymmetric_cross_attention,
     attention_weights,
@@ -23,7 +24,7 @@ from vica.attention import (
     build_cross_mask,
     masked_attention_oracle,
 )
-from vica.numerics import _ROW_BLOCK, ShapeError, row_softmax
+from vica.numerics import ShapeError, row_softmax
 
 
 def attention_loop_oracle(q, k, v, allowed, n_heads):

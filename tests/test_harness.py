@@ -375,6 +375,16 @@ class TestCliBench:
         )
         assert code == EXIT_CONFIG_ERROR
 
+    def test_drop_schedule_refused_before_any_work(self, tmp_path, monkeypatch):
+        # the cost model bench checks has no drop term: refused before the
+        # out dir or any weights exist
+        monkeypatch.setattr(harness, "init_model", None)
+        out = tmp_path / "out"
+        code = main(["bench", "--schedule", "vica7b+pdrop", "--reps", "1", "--warmup", "0",
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG_ERROR
+        assert not out.exists()
+
 
 class TestManifest:
     def test_fields_and_stability(self, tmp_path):

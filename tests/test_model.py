@@ -398,18 +398,42 @@ class TestDecoupledKv:
         with pytest.raises(ConfigError):
             forward_vica_fast(w, kv, te, PolicySchedule.sparse_cross(3, {0, 1}))
 
-    def test_fast_path_rejects_baseline_and_drops(self):
+    def test_fast_path_rejects_baseline(self):
         w = init_model(TOY, seed=0)
         ve, te = toy_inputs(15)
-        sched = PolicySchedule.sparse_cross(3, {0})
-        kv = precompute_visual_kv(w, ve, sched)
-        layout = TokenLayout(5, 0, 4)
-        for bad in (PolicySchedule.baseline(3), sched.with_drops({1: 0.5})):
-            with pytest.raises(ConfigError):
-                forward_vica_fast(w, kv, te, bad)
-            # the shape walker rejects what the fast path rejects
-            with pytest.raises(ConfigError):
-                count_forward_macs(TOY, layout, bad, "fast")
+        kv = precompute_visual_kv(w, ve, PolicySchedule.sparse_cross(3, {0}))
+        bad = PolicySchedule.baseline(3)
+        with pytest.raises(ConfigError):
+            forward_vica_fast(w, kv, te, bad)
+        # the shape walker rejects what the fast path rejects
+        with pytest.raises(ConfigError):
+            count_forward_macs(TOY, TokenLayout(5, 0, 4), bad, "fast")
+
+    # (letters, drops, n): chained drops, one deferred from a text-only
+    # layer, drops to zero rows, and no vision rows at all
+    FAST_DROPS = [
+        ("FVFV", {0: 0.75, 1: 0.5, 3: 0.5}, 8),
+        ("VTVF", {1: 0.5, 2: 0.5}, 8),
+        ("VTTV", {1: 0.5}, 7),
+        ("FVVF", {1: 0.0}, 8),
+        ("VFVT", {0: 0.5, 2: 0.0}, 5),
+        ("FVFV", {0: 0.5, 2: 0.5}, 0),
+    ]
+
+    @pytest.mark.parametrize("letters,drops,n", FAST_DROPS)
+    def test_fast_path_drops_match_engine(self, letters, drops, n):
+        cfg = ModelConfig(n_layers=4, n_heads=2, d_model=8, d_ffn=12, vocab=13, max_seq=64)
+        sched = mixed_schedule(letters, drops)
+        for seed in range(3):
+            w = init_model(cfg, seed=seed)
+            ve, te = toy_inputs(30 + seed, n=n, t=3 + seed)
+            engine = forward(w, ve, te, sched, record_trace=True)
+            fast = forward_vica_fast(w, precompute_visual_kv(w, ve, sched), te, sched)
+            # the gathered precomputed KV is the engine's KV: identical bits
+            np.testing.assert_array_equal(fast.logits, engine.logits)
+            assert fast.vision_hidden is None
+        if n:
+            assert engine.trace[-1].n_vision_out < n
 
     def test_fast_path_checks_text_shape(self):
         w = init_model(TOY, seed=0)
@@ -592,12 +616,16 @@ class TestMacCounting:
             cfg = ModelConfig(n_layers=layers, n_heads=2, d_model=8, d_ffn=12, vocab=13, max_seq=64)
             w = init_model(cfg, seed=0)
             ve, te = toy_inputs(22, n=n, t=t)
-            sched = PolicySchedule.sparse_cross(layers, {0, layers - 1})
-            counter = MacCounter()
-            kv = precompute_visual_kv(w, ve, sched, counter=counter)
-            forward_vica_fast(w, kv, te, sched, counter=counter)
-            walked = count_forward_macs(cfg, TokenLayout(n, 0, t), sched, "fast")
-            assert counter.macs == walked, f"n={n} t={t} layers={layers}"
+            sparse = PolicySchedule.sparse_cross(layers, {0, layers - 1})
+            # drops at both retained layers; one at the middle layer, deferred
+            # to the last where the middle is text-only
+            for sched in (sparse, sparse.with_drops({0: 0.5, layers - 1: 0.5}),
+                          sparse.with_drops({layers // 2: 0.5})):
+                counter = MacCounter()
+                kv = precompute_visual_kv(w, ve, sched, counter=counter)
+                forward_vica_fast(w, kv, te, sched, counter=counter)
+                walked = count_forward_macs(cfg, TokenLayout(n, 0, t), sched, "fast")
+                assert counter.macs == walked, f"n={n} t={t} layers={layers} {sched}"
 
     def test_walker_validates_like_forward(self):
         cfg = ModelConfig(2, 2, 8, 12, vocab=13, max_seq=64)

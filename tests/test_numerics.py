@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vica import numerics
-from vica.attention import TokenLayout, bottom_right_mask, build_cross_mask
+from vica.attention import _ROW_BLOCK, TokenLayout, bottom_right_mask, build_cross_mask
 from vica.numerics import (
     MacCounter,
     ShapeError,
@@ -64,7 +64,7 @@ def softmax_where_reference(scores, allowed, scale):
 
 def _softmax_masks():
     """Masks the engine produces, plus empty rows and masked trailing columns."""
-    layout = TokenLayout(200, 7, 12)  # 219 rows: three row blocks
+    layout = TokenLayout(200, 7, 12)  # 219 rows: three of the causal kernel's row blocks
     total = layout.total
     causal = bottom_right_mask(total, total)
     t2v_off = causal.copy()
@@ -72,7 +72,7 @@ def _softmax_masks():
     empty_row = causal.copy()
     empty_row[70] = False
     empty_block = causal.copy()
-    empty_block[64:160] = False  # covers the middle block, cuts into the others
+    empty_block[64:160] = False  # 96 consecutive empty rows in the middle
     trailing = causal.copy()
     trailing[:, 150:] = False
     return {
@@ -211,7 +211,7 @@ class TestRowSoftmax:
 
 
 class TestRowSoftmaxBlocks:
-    """The blocked in-place kernel against the full-matrix np.where form."""
+    """row_softmax under the engine's masks against the full-matrix np.where form."""
 
     MASKS = _softmax_masks()
 
@@ -231,7 +231,7 @@ class TestRowSoftmaxBlocks:
         assert np.array_equal(allowed, allowed_before)
 
     def test_engine_masks_cover_the_cases(self):
-        assert self.MASKS["causal_219"].shape[0] // numerics._ROW_BLOCK == 3
+        assert self.MASKS["causal_219"].shape[0] // _ROW_BLOCK == 3
         assert not self.MASKS["system_blind"][:7, :200].any()
         assert self.MASKS["system_blind"][7:, :200].all()
         assert not self.MASKS["t2v_read_off"][200:, :200].any()
