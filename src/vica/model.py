@@ -427,24 +427,38 @@ def _baseline_layer(
     *,
     vis_attn_write: bool = True,
     vis_ffn_write: bool = True,
+    prefix_kv: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The referee's joint layer: attention under ``allowed`` over the whole stream.
 
-    Flags carve out the vision write paths. Returns (h_post_attn, h_post_ffn)
-    as new arrays; ``h`` is only read.
+    The rows ``h`` attend to ``[prefix keys; own keys]``, the prefix being
+    read-only keys/values of rows before them if given, and ``allowed``
+    covers those rows by all those keys. Flags carve out the write paths of
+    the first ``n_vision`` rows. Returns (h_post_attn, h_post_ffn) as new
+    arrays; ``h`` is only read.
     """
     x = rms_norm(h, lw.attn_gain)
     q = matmul(x, lw.wq)
     k = matmul(x, lw.wk)
     v = matmul(x, lw.wv)
+    if prefix_kv is not None:
+        k, v = np.vstack([prefix_kv[0], k]), np.vstack([prefix_kv[1], v])
     delta = matmul(masked_attention_oracle(q, k, v, allowed, n_heads), lw.wo)
     if not vis_attn_write:
         delta[:n_vision] = 0.0
     h_attn = h + delta
+    f = _oracle_ffn(h_attn, lw, n_vision, vis_ffn_write)
+    return h_attn, h_attn + f
+
+
+def _oracle_ffn(h_attn: np.ndarray, lw: LayerWeights, n_vision: int,
+                vis_ffn_write: bool = True) -> np.ndarray:
+    """The FFN residual of :func:`_baseline_layer`, zero on the first
+    ``n_vision`` rows unless ``vis_ffn_write``; ``h_attn`` is only read."""
     f = gated_ffn(rms_norm(h_attn, lw.ffn_gain), lw.w_gate, lw.w_up, lw.w_down)
     if not vis_ffn_write:
         f[:n_vision] = 0.0
-    return h_attn, h_attn + f
+    return f
 
 
 def _vision_kv(v_rows: np.ndarray, lw: LayerWeights) -> tuple[np.ndarray, np.ndarray]:
@@ -613,27 +627,40 @@ def _disabled_by_layer(specs, n_layers: int) -> dict[int, set[str]]:
 
 
 def _oracle_layers(weights: Weights, h: np.ndarray, n: int, disabled: dict[int, set[str]],
-                   start: int, trace: list[LayerTrace] | None = None) -> ForwardResult:
+                   start: int, trace: list[LayerTrace] | None = None,
+                   vision_kv: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
+                   ) -> ForwardResult:
     """The referee's layers ``start..L-1`` from the state ``h`` entering ``start``.
 
     ``disabled`` maps a layer to its disabled path kinds. ``h`` is only read.
+    With ``vision_kv``, ``h`` holds the text rows alone and the ``n`` vision
+    rows are taken as known: at layer ``l`` the text rows read
+    ``vision_kv[l]``, the keys/values of the vision rows entering it, under
+    the text rows of the mask, and the vision write paths have no rows to
+    act on. No vision row reads text, so this is exact whenever the
+    disabled paths leave the vision rows as they were.
     """
-    causal = bottom_right_mask(len(h), len(h))
+    total = len(h) if vision_kv is None else n + len(h)
+    causal = bottom_right_mask(total, total)
     no_t2v = causal.copy()
     no_t2v[n:, :n] = False
+    n_own = n  # vision rows in h
+    if vision_kv is not None:
+        causal, no_t2v, n_own = causal[n:], no_t2v[n:], 0
     for l in range(start, weights.config.n_layers):
         off = disabled.get(l, set())
         h_attn, h_ffn = _baseline_layer(
             h, weights.layers[l], no_t2v if "t2v_read" in off else causal,
-            weights.config.n_heads, n,
+            weights.config.n_heads, n_own,
             vis_attn_write="vis_attn_write" not in off,
             vis_ffn_write="vis_ffn_write" not in off,
+            prefix_kv=None if vision_kv is None else vision_kv[l],
         )
         if trace is not None:
             trace.append(LayerTrace(l, PolicyMode.BASELINE, n, n, None, h, h_attn, h_ffn))
         h = h_ffn
-    logits = matmul(rms_norm(h[n:], weights.out_gain), weights.w_out)
-    return ForwardResult(h[:n], h[n:], logits, trace)
+    logits = matmul(rms_norm(h[n_own:], weights.out_gain), weights.w_out)
+    return ForwardResult(h[:n_own], h[n_own:], logits, trace)
 
 
 # ---------------------------------------------------------------------------

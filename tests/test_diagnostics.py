@@ -19,7 +19,9 @@ from vica.diagnostics import (
 )
 from vica.model import (
     WRITE_PATH_KINDS,
+    LayerPolicy,
     ModelConfig,
+    PolicyMode,
     PolicySchedule,
     forward,
     forward_baseline_masked_oracle,
@@ -200,30 +202,140 @@ class TestLayerSweep:
     @pytest.mark.parametrize("base_name", sorted(BASES))
     @pytest.mark.parametrize("path", WRITE_PATH_KINDS)
     def test_referee_work_per_sweep(self, path, base_name, monkeypatch):
+        # each ablated run recomputes only the rows and layers it can reach
         sched = self.BASES[base_name]
-        calls = {"forward": 0, "attention": 0}
+        calls = {"forward": 0}
+        attention_rows: list[int] = []
 
-        def spy(name, fn):
+        def spy_forward(*args, **kwargs):
+            calls["forward"] += 1
+            return forward_oracle(*args, **kwargs)
+
+        def spy_attention(q, *args, **kwargs):
+            attention_rows.append(q.shape[0])
+            return attention_oracle(q, *args, **kwargs)
+
+        forward_oracle = diagnostics_module.forward_baseline_masked_oracle
+        attention_oracle = model_module.masked_attention_oracle
+        monkeypatch.setattr(diagnostics_module, "forward_baseline_masked_oracle", spy_forward)
+        monkeypatch.setattr(model_module, "masked_attention_oracle", spy_attention)
+        w = init_model(self.CFG4, seed=7)
+        n, t = 5, 4
+        batch = self.make_batch(12, count=3, n=n, t=t)
+        layer_sweep(w, batch, path, schedule=sched)
+        base = schedule_to_disabled_paths(sched)
+        swept = [l for l in range(4) if f"{path}@{l}" not in base]
+        assert calls["forward"] == len(batch)
+        if path == "t2v_read":
+            # base run: L full-row layers; then text rows only from l on
+            full, text = 4, sum(4 - l for l in swept)
+        else:
+            # base run: L full-row layers; then full rows from l + 1 on
+            full, text = 4 + sum(3 - l for l in swept), 0
+        assert attention_rows.count(n + t) == len(batch) * full
+        assert attention_rows.count(t) == len(batch) * text
+        assert len(attention_rows) == len(batch) * (full + text)
+
+    @pytest.mark.parametrize("path", ["vis_attn_write", "vis_ffn_write"])
+    def test_last_layer_write_runs_no_referee_layer(self, path, monkeypatch):
+        # a base that writes vision rows at the last layer only: the one
+        # swept write is never read, so it costs no layer and measures 0;
+        # an attention write still runs that layer's FFN half once
+        sched = PolicySchedule(
+            (LayerPolicy(PolicyMode.FREEZE_VIS),) * 3 + (LayerPolicy(PolicyMode.BASELINE),)
+        )
+        calls = {"masked_attention_oracle": 0, "gated_ffn": 0}
+
+        def spy(name):
+            fn = getattr(model_module, name)
+
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(
-            diagnostics_module, "forward_baseline_masked_oracle",
-            spy("forward", diagnostics_module.forward_baseline_masked_oracle),
-        )
-        monkeypatch.setattr(
-            model_module, "masked_attention_oracle",
-            spy("attention", model_module.masked_attention_oracle),
-        )
+        for name in calls:
+            monkeypatch.setattr(model_module, name, spy(name))
         w = init_model(self.CFG4, seed=7)
-        batch = self.make_batch(12, count=3)
-        layer_sweep(w, batch, path, schedule=sched)
+        batch = self.make_batch(14, count=2)
+        report = layer_sweep(w, batch, path, schedule=sched)
+        assert calls["masked_attention_oracle"] == len(batch) * 4  # the base runs alone
+        assert calls["gated_ffn"] == len(batch) * (4 + (path == "vis_attn_write"))
+        assert report.kl == [0.0, 0.0, 0.0, 0.0]
+
+    def test_empty_input_list_is_rejected_before_any_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("layer_sweep ran a forward")
+
+        monkeypatch.setattr(diagnostics_module, "forward_baseline_masked_oracle", fail)
+        w = init_model(self.CFG4, seed=7)
+        for path in WRITE_PATH_KINDS:
+            with pytest.raises(ValueError, match="at least one input"):
+                layer_sweep(w, [], path)
+
+    # the ablation_sweep benchmark's geometry: 8 layers, 4 heads, d=64,
+    # 64 vision + 24 text tokens, 4 inputs
+    CFG8 = ModelConfig(n_layers=8, n_heads=4, d_model=64, d_ffn=128, max_seq=88)
+    BASES8 = {
+        "baseline": PolicySchedule.baseline(8),
+        "sparse_0_3_5": PolicySchedule.sparse_cross(8, {0, 3, 5}),
+        "freeze_vis": PolicySchedule.freeze_vis(8),
+    }
+
+    @pytest.mark.parametrize("base_name", sorted(BASES8))
+    def test_sweep_equals_direct_ablation_at_benchmark_geometry(self, base_name):
+        sched = self.BASES8[base_name]
+        w = init_model(self.CFG8, seed=3)
+        rng = np.random.default_rng(21)
+        n = 64
+        batch = [(rng.standard_normal((n, 64)), rng.standard_normal((24, 64))) for _ in range(4)]
         base = schedule_to_disabled_paths(sched)
-        resumed = sum(4 - l for l in range(4) if f"{path}@{l}" not in base)
-        assert calls["forward"] == len(batch)
-        assert calls["attention"] == len(batch) * (4 + resumed)
+        intact = [forward_baseline_masked_oracle(w, ve, te, base, record_trace=True)
+                  for ve, te in batch]
+        rows = {  # (before, after) rows of the host sublayer in the intact run
+            "vis_attn_write": lambda e: (e.h_pre_attn[:n], e.h_post_attn[:n]),
+            "vis_ffn_write": lambda e: (e.h_post_attn[:n], e.h_post_ffn[:n]),
+            "t2v_read": lambda e: (e.h_pre_attn[n:], e.h_post_attn[n:]),
+        }
+        for path in WRITE_PATH_KINDS:
+            report = layer_sweep(w, batch, path, schedule=sched)
+            for l in range(8):
+                kl_total = cos_total = 0.0
+                for (ve, te), run in zip(batch, intact):
+                    ablated = forward_baseline_masked_oracle(w, ve, te, base | {f"{path}@{l}"})
+                    kl_total += kl_divergence(
+                        next_token_distribution(run), next_token_distribution(ablated)
+                    )
+                    cos_total += cosine_change(*rows[path](run.trace[l])).mean
+                assert report.kl[l] == kl_total / len(batch), (path, base_name, l)
+                assert report.one_minus_cos[l] == cos_total / len(batch), (path, base_name, l)
+            if path == "t2v_read" or base_name == "baseline":
+                assert max(report.kl) > 0.0
+
+    @pytest.mark.parametrize("base_name", sorted(BASES))
+    @pytest.mark.parametrize("path", WRITE_PATH_KINDS)
+    def test_mixed_batch_matches_direct_ablation(self, path, base_name):
+        # inputs of different shapes in one sweep, no vision rows, and one
+        # text row; a single text row makes NumPy use a matrix-vector
+        # product, which rounds differently from the full-stream product
+        sched = self.BASES[base_name]
+        w = init_model(self.CFG4, seed=7)
+        rng = np.random.default_rng(15)
+        batch = [
+            (rng.standard_normal((n, 8)), rng.standard_normal((t, 8)))
+            for n, t in ((3, 2), (0, 4), (6, 1))
+        ]
+        base = schedule_to_disabled_paths(sched)
+        report = layer_sweep(w, batch, path, schedule=sched)
+        for l in range(4):
+            total = 0.0
+            for ve, te in batch:
+                intact = forward_baseline_masked_oracle(w, ve, te, base)
+                ablated = forward_baseline_masked_oracle(w, ve, te, base | {f"{path}@{l}"})
+                total += kl_divergence(
+                    next_token_distribution(intact), next_token_distribution(ablated)
+                )
+            assert report.kl[l] == pytest.approx(total / len(batch), rel=0, abs=1e-12)
 
     def test_sweep_leaves_inputs_unchanged(self):
         w = init_model(self.CFG4, seed=7)
