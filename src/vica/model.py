@@ -746,6 +746,53 @@ def vision_counts(schedule: PolicySchedule, n_vision: int) -> list[int]:
     return resolve_schedule(events, n_vision, schedule.n_layers)
 
 
+#: The ops of a layer, each a column of :func:`mac_table`. ``proj`` holds the
+#: text rows' q/k/v/o and the q/o of the vision rows a ``BASELINE`` layer
+#: updates; ``v2t_unclaimed`` is the vision-query by text-key block.
+MAC_OPS = ("proj", "vision_kv", "text_attn", "t2v_read", "vision_attn", "v2t_unclaimed",
+           "ffn", "drop_score")
+
+
+def mac_table(schedule: PolicySchedule, d: int, m: int, layout: TokenLayout,
+              rule: str) -> list[dict[str, int]]:
+    """MACs of each op of :data:`MAC_OPS` at each layer, from shapes only.
+
+    ``engine`` charges what :func:`forward` runs: causal text attention
+    (dense at ``BASELINE`` layers, whose masked part :func:`_prefill`
+    credits), every text row reading vision, the keys/values of the vision
+    rows entering a layer, and a cut's scoring of the last text row. ``fast``
+    charges the same, but keys/values of every input row, as
+    :func:`precompute_visual_kv` projects them. ``paper`` is the cost model:
+    dense attention, question rows reading vision (all text rows at
+    ``BASELINE`` layers), keys/values of the kept rows, free drops.
+    """
+    paper = rule == "paper"
+    n0, t = layout.n_vision, layout.n_text
+    table, n = [], n0
+    for pol, count in zip(schedule.layers, vision_counts(schedule, n0)):
+        n_in, n = n, count
+        reads, joint = pol.mode in KV_MODES, pol.mode is PolicyMode.BASELINE
+        v_rows = n if joint else 0  # vision rows the layer updates
+        readers = layout.t_question if paper and not joint else t
+        kv_rows = {"engine": n_in, "fast": n0, "paper": n}[rule] if reads else 0
+        table.append({
+            "proj": 4 * t * d * d + 2 * v_rows * d * d,
+            "vision_kv": 2 * kv_rows * d * d,
+            "text_attn": 2 * d * t * t if paper or joint else d * t * (t + 1),
+            "t2v_read": 2 * d * readers * n if reads else 0,
+            "vision_attn": 2 * d * v_rows * v_rows,
+            "v2t_unclaimed": 2 * d * v_rows * t,
+            "ffn": 3 * (t + v_rows) * d * m,
+            "drop_score": d * (n_in + t) if n < n_in and not paper else 0,
+        })
+    return table
+
+
+def mac_total(table: list[dict[str, int]], ops=MAC_OPS) -> int:
+    """The MACs of the columns ``ops`` of a :func:`mac_table`."""
+    return sum(row[op] for row in table for op in ops)
+
+
 def count_forward_macs(
     config: ModelConfig,
     layout: TokenLayout,
@@ -758,46 +805,16 @@ def count_forward_macs(
 
     ``path='engine'`` mirrors :func:`forward`; ``path='fast'`` mirrors
     :func:`precompute_visual_kv` + :func:`forward_vica_fast` and rejects
-    ``BASELINE`` layers as they do. Both run one layer loop, so one formula
-    counts them, but for vision KV: the engine projects the rows entering
-    each KV layer, the precompute all input rows at every retaining layer
-    (``include_kv_precompute=False`` leaves those out). The counts are
-    validated against live counters in the test suite and exist so preset
-    geometries can be accounted without allocating preset-sized weights.
+    ``BASELINE`` layers as they do. The count is the path's :func:`mac_table`
+    plus the logits (``include_kv_precompute=False`` leaves out the
+    precompute); the test suite checks it against the live counters.
     """
     if path not in ("engine", "fast"):
         raise ConfigError(f"unknown path {path!r}")
     _check_schedule(config, schedule)
     _check_stream(config, layout.n_vision, layout.n_text)
-    d, m = config.d_model, config.d_ffn
-    t = layout.n_text
     if path == "fast" and any(p.mode is PolicyMode.BASELINE for p in schedule.layers):
         raise ConfigError("fast path cannot update vision rows (baseline layers)")
-    counts = vision_counts(schedule, layout.n_vision)
-
-    def layer(rows: int, n_prefix: int) -> int:
-        # q/k/v/o projections, FFN, causal attention over the prefix keys
-        # plus the rows' own keys (scores + value mix)
-        return 4 * rows * d * d + 3 * rows * d * m + d * rows * (2 * n_prefix + rows + 1)
-
-    macs = 0
-    n = layout.n_vision
-    for l, pol in enumerate(schedule.layers):
-        n_in = n
-        if counts[l] < n_in:
-            # the last text row's scores over [vision keys; text keys]
-            macs += d * (n_in + t)
-            n = counts[l]
-        if pol.mode not in KV_MODES:
-            macs += layer(t, 0)
-            continue
-        macs += layer(t, n)
-        if path == "engine":
-            macs += 2 * n_in * d * d
-        elif include_kv_precompute:
-            macs += 2 * layout.n_vision * d * d
-        if pol.mode is PolicyMode.BASELINE:
-            # the vision rows' own layer over that KV (no k/v projection),
-            # plus the masked d * L * (L - 1) that forward credits
-            macs += layer(n, 0) - 2 * n * d * d + d * (n + t) * (n + t - 1)
-    return macs + t * d * config.vocab
+    table = mac_table(schedule, config.d_model, config.d_ffn, layout, path)
+    skip = mac_total(table, ("vision_kv",)) if path == "fast" and not include_kv_precompute else 0
+    return mac_total(table) - skip + layout.n_text * config.d_model * config.vocab

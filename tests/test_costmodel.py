@@ -23,9 +23,13 @@ from vica.costmodel import (
     vica_vision_flops,
     visual_update_flops,
 )
+from vica.harness import GOLDEN_LAYOUT, VICA_SCHEDULE_FOR_PRESET
 from vica.model import (
     MODEL_PRESETS,
+    ModelConfig,
     PolicySchedule,
+    count_forward_macs,
+    parse_schedule,
     pdrop_baseline_events,
     schedule_preset,
 )
@@ -96,6 +100,80 @@ class TestGoldenNumbers:
     def test_formatting(self):
         assert fmt_tflops(vica_vision_flops(CI_7B)) == "0.31"
         assert fmt_tflops(0) == "0.00"
+
+
+def exact_quantities(name):
+    """The closed forms of a preset at GOLDEN_LAYOUT, or ``count_forward_macs``
+    at the ``vica bench`` desk geometry for ``name == "desk"``."""
+    if name == "desk":
+        desk = ModelConfig(32, 32, 256, 688, max_seq=631)
+        return {
+            f"{sched} {path}": count_forward_macs(
+                desk, GOLDEN_LAYOUT, parse_schedule(sched, 32), path
+            )
+            for sched in ("baseline", "vica7b", "vica7b+pdrop")
+            for path in ("engine", "fast")
+            if (sched, path) != ("baseline", "fast")
+        }
+    mc = MODEL_PRESETS[name]
+    ci = CostInputs(mc.n_layers, mc.d_model, mc.d_ffn, n=576)
+    vica = VICA_SCHEDULE_FOR_PRESET[name]
+    out = {"total": total_flops(ci), "text_only": text_only_flops(ci)}
+    out.update({f"baseline_vision_{k}": v for k, v in baseline_vision_flops(ci).items()})
+    for sched in (vica, vica + "+pdrop", "baseline+pdrop"):
+        out[sched] = schedule_vision_flops(parse_schedule(sched, mc.n_layers), ci)
+    return out
+
+
+class TestExactIntegers:
+    # Every figure to the last FLOP (MAC for "desk"): the golden table's
+    # two decimals would miss a drift of billions.
+    PINNED = {
+        "llava3b": {
+            "total": 3_332_862_443_520,
+            "text_only": 280_122_163_200,
+            "baseline_vision_projections": 966_367_641_600,
+            "baseline_vision_attention": 119_097_262_080,
+            "baseline_vision_ffn": 1_956_894_474_240,
+            "baseline_vision_total": 3_042_359_377_920,
+            "vica3b": 136_957_132_800,
+            "vica3b+pdrop": 75_849_523_200,
+            "baseline+pdrop": 1_411_242_393_600,
+        },
+        "llava7b": {
+            "total": 8_381_469_818_880,
+            "text_only": 713_946_562_560,
+            "baseline_vision_projections": 2_473_901_162_496,
+            "baseline_vision_attention": 190_555_619_328,
+            "baseline_vision_ffn": 4_986_457_030_656,
+            "baseline_vision_total": 7_650_913_812_480,
+            "vica7b": 310_747_594_752,
+            "vica7b+pdrop": 182_685_597_696,
+            "baseline+pdrop": 3_562_584_145_920,
+        },
+        "llava13b": {
+            "total": 16_338_138_726_400,
+            "text_only": 1_398_132_736_000,
+            "baseline_vision_projections": 4_831_838_208_000,
+            "baseline_vision_attention": 297_743_155_200,
+            "baseline_vision_ffn": 9_784_472_371_200,
+            "baseline_vision_total": 14_914_053_734_400,
+            "vica13b": 485_071_257_600,
+            "vica13b+pdrop": 296_537_702_400,
+            "baseline+pdrop": 6_953_803_776_000,
+        },
+        "desk": {
+            "baseline engine": 22_489_415_680,
+            "vica7b engine": 2_153_906_176,
+            "vica7b fast": 2_153_906_176,
+            "vica7b+pdrop engine": 1_895_554_816,
+            "vica7b+pdrop fast": 2_100_813_568,
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned(self, name):
+        assert exact_quantities(name) == self.PINNED[name]
 
 
 class TestFormulaProperties:
@@ -190,3 +268,8 @@ class TestValidation:
     def test_schedule_length_checked(self):
         with pytest.raises(ValueError):
             schedule_vision_flops(PolicySchedule.baseline(31), CI_7B)
+
+    @pytest.mark.parametrize("n", [0, 576])
+    def test_kv_fraction_checks_schedule_length_without_vision(self, n):
+        with pytest.raises(ValueError, match="spans 31 layers"):
+            kv_cache_fraction(PolicySchedule.baseline(31), CostInputs(32, 4096, 11008, n=n))

@@ -16,13 +16,25 @@ from vica.harness import (
     EXIT_VERIFY_FAILED,
     ExperimentConfig,
     check_golden,
-    load_config,
     parse_config,
     run_bench,
     run_diagnose,
     run_equivalence,
 )
-from vica.model import ConfigError, PolicyMode, PolicySchedule, count_forward_macs
+from vica.costmodel import (
+    CostInputs,
+    resolved_vision_counts,
+    schedule_vision_flops,
+    text_only_flops,
+    total_flops,
+)
+from vica.model import (
+    ConfigError,
+    PolicyMode,
+    PolicySchedule,
+    count_forward_macs,
+    schedule_preset,
+)
 
 
 class TestConfigGrammar:
@@ -61,12 +73,6 @@ class TestConfigGrammar:
             parse_config("seed = eleven")
         with pytest.raises(ConfigError, match="true/false"):
             parse_config("golden = maybe")
-
-    def test_load_with_overrides(self, tmp_path):
-        p = tmp_path / "exp.cfg"
-        p.write_text("preset = llava3b\nseed = 4\n")
-        cfg = load_config(p, {"seed": 9})
-        assert cfg.preset == "llava3b" and cfg.seed == 9
 
 
 class TestExperimentConfig:
@@ -202,7 +208,7 @@ class TestCliCost:
 
     def test_config_file_with_cli_override(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("preset = llava3b\nschedule = vica3b\n")
+        cfg.write_text("preset = llava3b\nschedule = vica3b\nseed = 4\n")
         code = main(
             ["cost", "--config", str(cfg), "--preset", "llava13b",
              "--schedule", "vica13b", "--out", str(tmp_path)]
@@ -210,6 +216,8 @@ class TestCliCost:
         assert code == EXIT_OK
         report = json.loads((tmp_path / "cost.json").read_text())
         assert report["geometry"]["d_model"] == 5120  # CLI beat the file
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["seed"] == manifest["config"]["seed"] == 4  # file-only key kept
 
     def test_byte_identical_rerun(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -375,15 +383,22 @@ class TestCliBench:
         )
         assert code == EXIT_CONFIG_ERROR
 
-    def test_drop_schedule_refused_before_any_work(self, tmp_path, monkeypatch):
-        # the cost model bench checks has no drop term: refused before the
-        # out dir or any weights exist
-        monkeypatch.setattr(harness, "init_model", None)
-        out = tmp_path / "out"
-        code = main(["bench", "--schedule", "vica7b+pdrop", "--reps", "1", "--warmup", "0",
-                     "--out", str(out)])
-        assert code == EXIT_CONFIG_ERROR
-        assert not out.exists()
+    def test_drop_schedule_priced_by_the_table(self, tmp_path):
+        code = main(["bench", "--layers", "32", "--heads", "4", "--d-model", "64",
+                     "--d-ffn", "172", "--n", "144", "--schedule", "vica7b+pdrop",
+                     "--reps", "1", "--warmup", "0", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "bench.json").read_text())
+        assert report["checks"]["mac_ratio_within_5pct"] is True
+        # the paper's cost of the schedule, plus the keys/values of the rows
+        # its cuts drop: the precompute projects them at every retained layer
+        ci = CostInputs(32, 64, 172, n=144)
+        sched = schedule_preset("vica7b+pdrop")
+        counts = resolved_vision_counts(sched, ci)
+        dropped_kv = sum(2 * 2 * (144 - counts[l]) * 64 * 64 for l in sched.frozen_vision_layers())
+        model = schedule_vision_flops(sched, ci) + text_only_flops(ci) + dropped_kv
+        assert dropped_kv > 0
+        assert report["macs"]["costmodel_ratio"] == model / total_flops(ci)
 
 
 class TestManifest:
