@@ -16,11 +16,12 @@ text rows around the attention block for ``t2v_read``.
 An ablated run recomputes only the rows and layers its ablation can reach
 and reads the rest from the traced intact run: disabling ``t2v_read`` at
 layer l reruns the text rows alone from l on, disabling a vision write at l
-reruns all rows from l + 1 on (see :func:`layer_sweep`). Each row is
-computed as a direct referee run computes it; only the BLAS kernel of the
-shorter text-row products may round differently. KLs moved by ~1e-16 at
-576 + 55 tokens and d=256, and with a single text row, whose products
-NumPy runs as matrix-vector products; elsewhere the tests find them equal.
+all rows from l + 1 on but the text rows alone at the last layer (see
+:func:`layer_sweep`). Each row is computed as a direct referee run computes
+it; only the BLAS kernel of the shorter text-row products may round
+differently. KLs moved by ~1e-16 at 576 + 55 tokens and d=256, and with a
+single text row, whose products NumPy runs as matrix-vector products;
+elsewhere the tests find them equal.
 """
 
 from __future__ import annotations
@@ -146,13 +147,15 @@ def _resume(weights: Weights, run: ForwardResult, n: int, path: str, l: int,
     if path == "t2v_read":
         off = {**base_off, l: base_off.get(l, set()) | {path}}
         return _oracle_layers(weights, entry.h_pre_attn[n:], n, off, l, vision_kv=vision_kv)
+    if l == weights.config.n_layers - 1:  # a write no readout reads
+        return run
     if path == "vis_ffn_write":
         h = np.vstack([entry.h_post_attn[:n], entry.h_post_ffn[n:]])
     else:
         h_attn = np.vstack([entry.h_pre_attn[:n], entry.h_post_attn[n:]])
         h = h_attn + _oracle_ffn(h_attn, weights.layers[l], n,
                                  "vis_ffn_write" not in base_off.get(l, ()))
-    return _oracle_layers(weights, h, n, base_off, l + 1)
+    return _oracle_layers(weights, h, n, base_off, l + 1, last_text_rows=True)
 
 
 def layer_sweep(
@@ -177,14 +180,15 @@ def layer_sweep(
       run layers ``l..L-1``, over the base run's vision keys/values
       (projected once per input and layer);
     * ``vis_ffn_write``: every row's attention at ``l`` is the base run's,
-      so the full rows run layers ``l+1..L-1``;
-    * ``vis_attn_write``: every row's attention output at ``l`` is the base
-      run's, so the full rows run the FFN half of ``l``, then ``l+1..L-1``.
+      so the full rows run layers ``l+1..L-2``, then the text rows alone
+      run ``L-1``, since no readout reads the vision rows leaving it;
+    * ``vis_attn_write``: as ``vis_ffn_write``, after the FFN half of ``l``;
+    * a write at ``l = L-1`` runs nothing and measures exactly 0.
 
     That is L full referee layers per input for the base run, plus
-    ``sum(L - l)`` text-row layers for a read or ``sum(L - 1 - l)`` full
-    layers for a write over the swept layers ``l``. Inputs run one at a
-    time, so one base trace is alive at once.
+    ``sum(L - l)`` text-row layers for a read, or ``sum(L - 2 - l)`` full
+    and one text-row layer per ``l <= L-2`` for a write, over the swept
+    layers ``l``. Inputs run one at a time, so one base trace is alive.
     """
     if not inputs:
         raise ValueError("layer_sweep needs at least one input")

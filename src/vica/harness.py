@@ -117,9 +117,10 @@ class ExperimentConfig:
             raise ConfigError("batch must be at least 1")
         if self.t_question < 1:
             raise ConfigError("t_question must be at least 1")
-        bad = [p for p in self.paths if p not in WRITE_PATH_KINDS]
-        if bad:
-            raise ConfigError(f"unknown paths {bad}; expected subset of {WRITE_PATH_KINDS}")
+        paths = set(self.paths)
+        if not paths or len(paths) < len(self.paths) or not paths <= set(WRITE_PATH_KINDS):
+            raise ConfigError(f"paths {list(self.paths)}: expected distinct names from "
+                              f"{WRITE_PATH_KINDS}, at least one")
 
     def model_config(self) -> ModelConfig:
         if self.preset is not None:

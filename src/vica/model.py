@@ -629,7 +629,7 @@ def _disabled_by_layer(specs, n_layers: int) -> dict[int, set[str]]:
 def _oracle_layers(weights: Weights, h: np.ndarray, n: int, disabled: dict[int, set[str]],
                    start: int, trace: list[LayerTrace] | None = None,
                    vision_kv: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
-                   ) -> ForwardResult:
+                   last_text_rows: bool = False) -> ForwardResult:
     """The referee's layers ``start..L-1`` from the state ``h`` entering ``start``.
 
     ``disabled`` maps a layer to its disabled path kinds. ``h`` is only read.
@@ -638,19 +638,20 @@ def _oracle_layers(weights: Weights, h: np.ndarray, n: int, disabled: dict[int, 
     ``vision_kv[l]``, the keys/values of the vision rows entering it, under
     the text rows of the mask, and the vision write paths have no rows to
     act on. No vision row reads text, so this is exact whenever the
-    disabled paths leave the vision rows as they were.
+    disabled paths leave the vision rows as they were. ``last_text_rows``
+    runs the last layer that way, since no readout reads its vision rows.
     """
     total = len(h) if vision_kv is None else n + len(h)
     causal = bottom_right_mask(total, total)
     no_t2v = causal.copy()
     no_t2v[n:, :n] = False
-    n_own = n  # vision rows in h
-    if vision_kv is not None:
-        causal, no_t2v, n_own = causal[n:], no_t2v[n:], 0
+    n_own = n if vision_kv is None else 0  # vision rows in h
     for l in range(start, weights.config.n_layers):
+        if last_text_rows and n_own and l == weights.config.n_layers - 1:
+            vision_kv, h, n_own = {l: _vision_kv(h[:n], weights.layers[l])}, h[n:], 0
         off = disabled.get(l, set())
         h_attn, h_ffn = _baseline_layer(
-            h, weights.layers[l], no_t2v if "t2v_read" in off else causal,
+            h, weights.layers[l], (no_t2v if "t2v_read" in off else causal)[total - len(h):],
             weights.config.n_heads, n_own,
             vis_attn_write="vis_attn_write" not in off,
             vis_ffn_write="vis_ffn_write" not in off,

@@ -12,8 +12,8 @@ mask) and the engine's one-row drop scoring
 matrix, unmasked). The engine's causal kernel
 (:func:`~vica.attention.asymmetric_cross_attention`) does not call it: it
 blocks its query rows, runs a group of heads per block in reused buffers and
-never forms the masked key tiles at all. :func:`silu` works in place on
-fixed-size chunks.
+never forms the masked key tiles at all. :func:`silu` and :func:`rms_norm`
+each allocate their result and no other full-size temporary.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ import numpy as np
 
 # RMS normalization epsilon. Fixed, not configurable.
 RMS_EPS = 1e-6
-
-# Elements per chunk in silu (256 KiB of float64). Fixed, not configurable.
-_SILU_CHUNK = 32768
 
 
 class ShapeError(ValueError):
@@ -127,40 +124,37 @@ def row_softmax(
 
 
 def rms_norm(h: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    """Root-mean-square normalization of each row, scaled by ``gain``."""
+    """Root-mean-square normalization of each row, scaled by ``gain``; the
+    squares sum in one pass in ``h``'s dtype, and the gain scales in place."""
     h = np.asarray(h)
     gain = np.asarray(gain)
     if h.ndim != 2:
         raise ShapeError(f"rms_norm needs a 2-D input, got {h.shape}")
     if gain.shape != (h.shape[1],):
         raise ShapeError(f"gain shape {gain.shape} does not match width {h.shape[1]}")
-    ms = np.mean(np.square(h), axis=1, keepdims=True)
-    return h / np.sqrt(ms + RMS_EPS) * gain
+    ms = np.einsum("ij,ij->i", h, h)[:, None] / h.shape[1]
+    out = h / np.sqrt(ms + RMS_EPS)
+    return np.multiply(out, gain, out=out)
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    """x * sigmoid(x), evaluated without overflow for large |x|.
+    """x * sigmoid(x) as ``x / (1 + exp(-x))``: four passes over the result.
 
-    With ``e = exp(-|x|)`` in (0, 1], sigmoid(x) is ``1 / (1 + e)`` for
-    x >= 0 and ``e / (1 + e)`` below, so nothing overflows and no difference
-    of nearly equal numbers is formed: the result keeps full relative
-    precision in both tails (``x * (1 + tanh(x / 2)) / 2`` does not: for
-    negative x the sum ``1 + tanh`` cancels). It is computed in place,
-    ``_SILU_CHUNK`` elements at a time, so the temporaries stay small.
+    No difference of nearly equal numbers is formed, so the result keeps
+    full relative precision in both tails (``x * (1 + tanh(x / 2)) / 2``
+    does not: for negative x the sum ``1 + tanh`` cancels). Below x =
+    -709.78 (float64) or -88.72 (float32) ``exp(-x)`` overflows, silently,
+    and the result is -0.0; the true values there are smaller than
+    4.3e-306 (float64) or 5.4e-37 (float32) in magnitude.
     """
     x = np.asarray(x)
-    flat = x.reshape(-1)
-    out = np.empty(flat.shape, dtype=np.result_type(x, 1.0))
-    for i in range(0, flat.size, _SILU_CHUNK):
-        xc, yc = flat[i : i + _SILU_CHUNK], out[i : i + _SILU_CHUNK]
-        np.abs(xc, out=yc)
-        np.negative(yc, out=yc)
-        np.exp(yc, out=yc)                # e = exp(-|x|)
-        numer = np.maximum(yc, xc >= 0)   # 1 where x >= 0, e below
-        yc += 1.0
-        np.divide(numer, yc, out=yc)      # sigmoid(x)
-        yc *= xc
-    return out.reshape(x.shape)
+    out = np.empty(x.shape, dtype=np.result_type(x, 1.0))
+    np.negative(x, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    np.divide(x, out, out=out)
+    return out
 
 
 def gated_ffn(

@@ -199,6 +199,35 @@ class TestLayerSweep:
             # the ablation reaches the output somewhere, so equality is not 0 == 0
             assert max(report.kl) > 0.0
 
+    CFG2 = ModelConfig(n_layers=2, n_heads=2, d_model=8, d_ffn=16, vocab=13, max_seq=64)
+
+    @pytest.mark.parametrize("path", ["vis_attn_write", "vis_ffn_write"])
+    def test_kl_equals_direct_ablation_with_two_layers(self, path, monkeypatch):
+        # a write at layer 0 resumes on the last layer alone, in its text
+        # rows; a write at layer 1 runs no layer
+        w = init_model(self.CFG2, seed=7)
+        n, t = 5, 4
+        batch = self.make_batch(16, n=n, t=t)
+        direct = [
+            sum(kl_divergence(
+                next_token_distribution(forward_baseline_masked_oracle(w, ve, te)),
+                next_token_distribution(forward_baseline_masked_oracle(w, ve, te, {f"{path}@{l}"})),
+            ) for ve, te in batch) / len(batch)
+            for l in range(2)
+        ]
+        attention_rows: list[int] = []
+        attention_oracle = model_module.masked_attention_oracle
+
+        def spy_attention(q, *args, **kwargs):
+            attention_rows.append(q.shape[0])
+            return attention_oracle(q, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "masked_attention_oracle", spy_attention)
+        report = layer_sweep(w, batch, path)
+        assert report.kl == direct
+        assert report.kl[0] > 0.0 and report.kl[1] == 0.0
+        assert attention_rows == [n + t, n + t, t] * len(batch)
+
     @pytest.mark.parametrize("base_name", sorted(BASES))
     @pytest.mark.parametrize("path", WRITE_PATH_KINDS)
     def test_referee_work_per_sweep(self, path, base_name, monkeypatch):
@@ -230,8 +259,9 @@ class TestLayerSweep:
             # base run: L full-row layers; then text rows only from l on
             full, text = 4, sum(4 - l for l in swept)
         else:
-            # base run: L full-row layers; then full rows from l + 1 on
-            full, text = 4 + sum(3 - l for l in swept), 0
+            # base run: L full-row layers; then full rows from l + 1 on but
+            # text rows alone at the last layer, and nothing for l = L - 1
+            full, text = 4 + sum(2 - l for l in swept if l <= 2), sum(l <= 2 for l in swept)
         assert attention_rows.count(n + t) == len(batch) * full
         assert attention_rows.count(t) == len(batch) * text
         assert len(attention_rows) == len(batch) * (full + text)
@@ -239,8 +269,7 @@ class TestLayerSweep:
     @pytest.mark.parametrize("path", ["vis_attn_write", "vis_ffn_write"])
     def test_last_layer_write_runs_no_referee_layer(self, path, monkeypatch):
         # a base that writes vision rows at the last layer only: the one
-        # swept write is never read, so it costs no layer and measures 0;
-        # an attention write still runs that layer's FFN half once
+        # swept write is never read, so it costs no layer and measures 0
         sched = PolicySchedule(
             (LayerPolicy(PolicyMode.FREEZE_VIS),) * 3 + (LayerPolicy(PolicyMode.BASELINE),)
         )
@@ -260,7 +289,7 @@ class TestLayerSweep:
         batch = self.make_batch(14, count=2)
         report = layer_sweep(w, batch, path, schedule=sched)
         assert calls["masked_attention_oracle"] == len(batch) * 4  # the base runs alone
-        assert calls["gated_ffn"] == len(batch) * (4 + (path == "vis_attn_write"))
+        assert calls["gated_ffn"] == len(batch) * 4
         assert report.kl == [0.0, 0.0, 0.0, 0.0]
 
     def test_empty_input_list_is_rejected_before_any_work(self, monkeypatch):

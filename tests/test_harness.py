@@ -87,6 +87,10 @@ class TestExperimentConfig:
             ExperimentConfig(seed=-1)
         with pytest.raises(ConfigError):
             ExperimentConfig(paths=("t2v_read", "bogus"))
+        with pytest.raises(ConfigError, match="paths"):
+            ExperimentConfig(paths=())
+        with pytest.raises(ConfigError, match="paths"):
+            ExperimentConfig(paths=("t2v_read", "vis_ffn_write", "t2v_read"))
 
     def test_zero_batch_rejected(self):
         with pytest.raises(ConfigError, match="batch"):
@@ -445,6 +449,14 @@ class TestCliPlumbing:
     def test_diagnose_zero_batch(self, tmp_path):
         code = main(["diagnose", "--batch", "0", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG_ERROR
+
+    def test_diagnose_empty_or_repeated_paths(self, tmp_path):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("paths =\n")
+        out = tmp_path / "out"
+        for argv in (["--config", str(cfg)], ["--paths", "t2v_read,t2v_read"]):
+            assert main(["diagnose", *argv, "--out", str(out)]) == EXIT_CONFIG_ERROR
+        assert not out.exists() or not any(out.iterdir())
 
     def test_crash_exits_internal_error(self, tmp_path, monkeypatch, capsys):
         def crash(cfg):

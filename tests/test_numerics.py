@@ -291,6 +291,17 @@ class TestRmsNorm:
         with pytest.raises(ShapeError):
             rms_norm(np.zeros((2, 3)), np.ones(4))
 
+    def test_float32_in_float32_out(self):
+        # the squares are summed in the input's dtype
+        rng = np.random.default_rng(9)
+        h = (rng.standard_normal((6, 256)) * 30.0).astype(np.float32)
+        gain = rng.standard_normal(256).astype(np.float32)
+        out = rms_norm(h, gain)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(
+            out, rms_norm(h.astype(np.float64), gain.astype(np.float64)), rtol=1e-6, atol=0
+        )
+
 
 class TestGatedFfn:
     def test_zero_input_zero_output(self):
