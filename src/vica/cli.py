@@ -17,6 +17,7 @@ from .harness import (
     EXIT_CONFIG_ERROR,
     EXIT_INTERNAL_ERROR,
     ExperimentConfig,
+    _coerce,
     parse_config,
     run_bench,
     run_cost,
@@ -86,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--preset", help="model geometry preset")
     diag.add_argument("--schedule", help="schedule context for the sweep")
     diag.add_argument("--batch", type=int, help="seeded inputs per sweep")
-    diag.add_argument("--paths", type=lambda s: tuple(p.strip() for p in s.split(",")),
+    diag.add_argument("--paths", type=lambda s: _coerce("paths", s),
                       help="comma-separated pathway kinds to sweep")
 
     equiv = sub.add_parser("equivalence", help="three-way path agreement over a seeded grid")
@@ -103,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--reps", type=int, help="timed repetitions")
     bench.add_argument("--warmup", type=int, help="untimed repetitions")
     bench.add_argument("--dtype", choices=("float64", "float32"), help="compute dtype")
-    bench.add_argument("--decoupled", action="store_true", default=argparse.SUPPRESS,
-                       help="time the KV precompute separately from prefill")
 
     sub.add_parser("presets", help="list model and schedule presets")
     return parser

@@ -5,10 +5,10 @@ two FLOPs. Each is a sum or a column difference over the ``paper`` rule of
 :func:`vica.model.mac_table`, which counts matrix products only. The shape
 walker sums the same table under the engine's rules, which differ in three
 ways: every text row reads vision (the paper: question rows only), text
-attention is causal (the paper: dense), and the logits count. At the
-``vica bench`` desk geometry ``vica7b`` counts 2,153,906,176 MACs against
-the model's 2,092,056,576: +82,575,360 system-row reads, -24,330,240
-causal attention and +3,604,480 logits, a ratio error of 2.94%.
+attention is causal (the paper: dense), and the logits count. ``vica
+bench`` prints that gap by op: at its desk geometry ``vica7b`` counts
+2,153,906,176 MACs, the model 2,092,056,576: +82,575,360 system-row reads,
+-24,330,240 causal attention and +3,604,480 logits (9.58% against 9.30%).
 
 Symbols: ``d`` model width, ``m`` FFN width, ``n`` vision tokens, ``t``
 text tokens (``t_system + t_question``).

@@ -149,12 +149,11 @@ def _resume(weights: Weights, run: ForwardResult, n: int, path: str, l: int,
         return _oracle_layers(weights, entry.h_pre_attn[n:], n, off, l, vision_kv=vision_kv)
     if l == weights.config.n_layers - 1:  # a write no readout reads
         return run
-    if path == "vis_ffn_write":
-        h = np.vstack([entry.h_post_attn[:n], entry.h_post_ffn[n:]])
-    else:
-        h_attn = np.vstack([entry.h_pre_attn[:n], entry.h_post_attn[n:]])
-        h = h_attn + _oracle_ffn(h_attn, weights.layers[l], n,
-                                 "vis_ffn_write" not in base_off.get(l, ()))
+    # no text row reads a vision row's write at l: the text rows leave l as they did
+    v = entry.h_post_attn[:n] if path == "vis_ffn_write" else entry.h_pre_attn[:n]
+    if path == "vis_attn_write":
+        v = v + _oracle_ffn(v, weights.layers[l], n, "vis_ffn_write" not in base_off.get(l, ()))
+    h = np.vstack([v, entry.h_post_ffn[n:]])
     return _oracle_layers(weights, h, n, base_off, l + 1, last_text_rows=True)
 
 
@@ -182,7 +181,7 @@ def layer_sweep(
     * ``vis_ffn_write``: every row's attention at ``l`` is the base run's,
       so the full rows run layers ``l+1..L-2``, then the text rows alone
       run ``L-1``, since no readout reads the vision rows leaving it;
-    * ``vis_attn_write``: as ``vis_ffn_write``, after the FFN half of ``l``;
+    * ``vis_attn_write``: as ``vis_ffn_write``, after the vision rows' FFN at ``l``;
     * a write at ``l = L-1`` runs nothing and measures exactly 0.
 
     That is L full referee layers per input for the base run, plus

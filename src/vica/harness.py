@@ -40,11 +40,13 @@ from .costmodel import (
 )
 from .diagnostics import layer_sweep
 from .model import (
+    MAC_OPS,
     MODEL_PRESETS,
     WRITE_PATH_KINDS,
     ConfigError,
     ModelConfig,
     PolicySchedule,
+    count_forward_macs,
     forward,
     forward_baseline_masked_oracle,
     forward_vica_fast,
@@ -92,7 +94,6 @@ class ExperimentConfig:
     paths: tuple[str, ...] = WRITE_PATH_KINDS
     out_dir: str | None = None
     golden: bool = False
-    decoupled: bool = False
     self_test: bool = False
 
     MODES = ("cost", "diagnose", "equivalence", "bench")
@@ -167,13 +168,6 @@ class ExperimentConfig:
                 f"desk-scale limit ({MAX_LIVE_D_MODEL}, {MAX_LIVE_LAYERS})"
             )
 
-    def to_json_dict(self) -> dict:
-        d = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            d[f.name] = list(v) if isinstance(v, tuple) else v
-        return d
-
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
@@ -193,7 +187,8 @@ def _coerce(key: str, raw: str):
             return False
         raise ConfigError(f"{key} expects true/false, got {raw!r}")
     if t == "tuple[str, ...]":
-        return tuple(p.strip() for p in raw.split(",") if p.strip())
+        # an empty item stays, for ExperimentConfig to refuse
+        return tuple(p.strip() for p in raw.split(","))
     return raw
 
 
@@ -231,7 +226,7 @@ def dump_json(path: Path, obj) -> None:
 
 
 def write_manifest(out_dir: Path, cfg: ExperimentConfig) -> None:
-    config = cfg.to_json_dict()
+    config = asdict(cfg)
     # output location is environment, not experiment identity
     config.pop("out_dir")
     digest = hashlib.sha256(
@@ -729,41 +724,42 @@ def run_bench(cfg: ExperimentConfig) -> int:
     vica_macs = pre_counter.macs + fast_counter.macs
     mac_ratio = vica_macs / base_counter.macs
 
-    # the paper's charges, but for the vision keys/values: the timed path
-    # projects every vision row at every retaining layer, whatever a cut drops
-    d, m, kv_op = mc.d_model, mc.d_ffn, ("vision_kv",)
+    # the check: the counts against the table under the rules of the timed paths
+    vica_table = count_forward_macs(mc, layout, sched, "fast")
+    table_ratio = vica_table / count_forward_macs(mc, layout, baseline, "engine")
+    ratio_rel_err = abs(mac_ratio - table_ratio) / table_ratio
+    # information: the cost model (the paper rule), and by op what the fast
+    # rule charges beyond it; the differences sum to vica_table - vica_model
+    d, m = mc.d_model, mc.d_ffn
     paper, fast = (mac_table(sched, d, m, layout, rule) for rule in ("paper", "fast"))
-    vica_model = mac_total(paper) - mac_total(paper, kv_op) + mac_total(fast, kv_op)
+    vica_model = mac_total(paper)
     model_ratio = vica_model / mac_total(mac_table(baseline, d, m, layout, "paper"))
-    ratio_rel_err = abs(mac_ratio - model_ratio) / model_ratio
+    vica_minus_model = {op: mac_total(fast, (op,)) - mac_total(paper, (op,)) for op in MAC_OPS}
+    vica_minus_model["logits"] = vica_table - mac_total(fast)
 
-    def time_reps(fn) -> list[float]:
-        for _ in range(cfg.warmup):
-            fn()
-        out = []
-        for _ in range(cfg.reps):
-            t0 = time.perf_counter()
-            fn()
-            out.append(time.perf_counter() - t0)
-        return out
+    def time_reps(**steps) -> dict[str, list[float]]:
+        """Seconds of each named step in each timed rep, after the warmup
+        reps; a step is given the result of the step before it."""
+        laps = []
+        for rep in range(cfg.warmup + cfg.reps):
+            out, ticks = None, [time.perf_counter()]
+            for step in steps.values():
+                out = step(out)
+                ticks.append(time.perf_counter())
+            if rep >= cfg.warmup:
+                laps.append([b - a for a, b in zip(ticks, ticks[1:])])
+        return {name: list(col) for name, col in zip(steps, zip(*laps))}
 
-    base_times = time_reps(lambda: forward(weights, ve, te, baseline, layout=layout))
-    pre_times = time_reps(lambda: precompute_visual_kv(weights, ve, sched))
-    if cfg.decoupled:
-        vica_times = time_reps(lambda: forward_vica_fast(weights, kv, te, sched))
-    else:
-        def joint():
-            fresh = precompute_visual_kv(weights, ve, sched)
-            forward_vica_fast(weights, fresh, te, sched)
-        vica_times = time_reps(joint)
-    # text-only reads no vision KV, so it has none to build
-    text_times = time_reps(lambda: forward_vica_fast(weights, no_kv, te, textonly))
-
-    base_med, vica_med, text_med = median(base_times), median(vica_times), median(text_times)
-    # against what the vica clock timed: the KV build counts unless decoupled
-    wall_over_text = vica_med / text_med - 1
-    timed_macs = fast_counter.macs + (0 if cfg.decoupled else pre_counter.macs)
-    macs_over_text = timed_macs / text_counter.macs - 1
+    times = {
+        **time_reps(baseline=lambda _: forward(weights, ve, te, baseline, layout=layout)),
+        # each rep builds a fresh KV, then prefills on it
+        **time_reps(precompute=lambda _: precompute_visual_kv(weights, ve, sched),
+                    prefill=lambda fresh: forward_vica_fast(weights, fresh, te, sched)),
+        # text-only reads no vision KV, so it has none to build
+        **time_reps(textonly=lambda _: forward_vica_fast(weights, no_kv, te, textonly)),
+    }
+    times["vica"] = [a + b for a, b in zip(times["precompute"], times["prefill"])]
+    med = {name: median(t) for name, t in times.items()}
     report = {
         "geometry": {
             "n_layers": mc.n_layers, "n_heads": mc.n_heads,
@@ -776,39 +772,45 @@ def run_bench(cfg: ExperimentConfig) -> int:
             "baseline": base_counter.macs,
             "vica": vica_macs,
             "ratio": mac_ratio,
-            "costmodel_ratio": model_ratio,
+            "table_ratio": table_ratio,
             "ratio_rel_err": ratio_rel_err,
+            "costmodel_vica": vica_model,
+            "costmodel_ratio": model_ratio,
+            "vica_minus_costmodel": vica_minus_model,
         },
         "checks": {
             "mac_ratio_within_5pct": ratio_rel_err <= 0.05,
             "vica_macs_leq_10pct": mac_ratio <= 0.10,
         },
         "timing": {
-            "vica_wall_clock_lower": vica_med < base_med,
+            "vica_wall_clock_lower": med["vica"] < med["baseline"],
             "reps": cfg.reps,
             "warmup": cfg.warmup,
-            "decoupled": cfg.decoupled,
-            "baseline_median_s": base_med,
-            "vica_median_s": vica_med,
-            "precompute_median_s": median(pre_times),
-            "textonly_median_s": text_med,
-            "wall_overhead_over_textonly": wall_over_text,
-            "mac_overhead_over_textonly": macs_over_text,
-            "baseline_s": base_times,
-            "vica_s": vica_times,
-            "textonly_s": text_times,
+            **{f"{name}_median_s": v for name, v in med.items()},
+            **{f"{name}_s": t for name, t in times.items()},
+            "wall_overhead_over_textonly": med["vica"] / med["textonly"] - 1,
+            "mac_overhead_over_textonly": vica_macs / text_counter.macs - 1,
+            "prefill_wall_overhead_over_textonly": med["prefill"] / med["textonly"] - 1,
+            "prefill_mac_overhead_over_textonly": fast_counter.macs / text_counter.macs - 1,
         },
     }
     dump_json(out_dir / "bench.json", report)
     write_manifest(out_dir, cfg)
+    gap = "  ".join(f"{op} {v:+,}" for op, v in vica_minus_model.items() if v)
     print(f"multiplies   baseline {base_counter.macs:,}  vica {vica_macs:,}  "
-          f"ratio {mac_ratio * 100:.2f}% (model {model_ratio * 100:.2f}%, "
+          f"ratio {mac_ratio * 100:.2f}% (table {table_ratio * 100:.2f}%, "
           f"rel err {ratio_rel_err * 100:.2f}%)")
-    print(f"median wall  baseline {base_med * 1e3:.1f} ms  vica {vica_med * 1e3:.1f} ms"
-          f"{'  (decoupled)' if cfg.decoupled else ''}")
-    print(f"textonly     {text_med * 1e3:.1f} ms  vica over it: wall {wall_over_text * 100:+.1f}%  "
-          f"multiplies {macs_over_text * 100:+.1f}%")
+    print(f"cost model   vica {vica_model:,}  ratio {model_ratio * 100:.2f}%  "
+          f"vica minus model: {gap or 'none'}")
+    print(f"median wall  baseline {med['baseline'] * 1e3:.1f} ms  vica {med['vica'] * 1e3:.1f} "
+          f"ms (KV build {med['precompute'] * 1e3:.1f} ms, prefill {med['prefill'] * 1e3:.1f} ms)")
+    t = report["timing"]
+    print(f"textonly     {med['textonly'] * 1e3:.1f} ms  vica over it: "
+          f"wall {t['wall_overhead_over_textonly']:+.1%}  "
+          f"multiplies {t['mac_overhead_over_textonly']:+.1%}; prefill alone: "
+          f"wall {t['prefill_wall_overhead_over_textonly']:+.1%}  "
+          f"multiplies {t['prefill_mac_overhead_over_textonly']:+.1%}")
     if ratio_rel_err > 0.05:
-        print("FAIL instrumented ratio deviates from cost model by more than 5%")
+        print("FAIL instrumented ratio deviates from the table by more than 5%")
         return EXIT_VERIFY_FAILED
     return EXIT_OK

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from statistics import median
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from vica.harness import (
     run_diagnose,
     run_equivalence,
 )
+from vica.attention import TokenLayout
 from vica.costmodel import (
     CostInputs,
     resolved_vision_counts,
@@ -29,10 +31,15 @@ from vica.costmodel import (
     total_flops,
 )
 from vica.model import (
+    MAC_OPS,
     ConfigError,
+    ModelConfig,
     PolicyMode,
     PolicySchedule,
     count_forward_macs,
+    mac_table,
+    mac_total,
+    parse_schedule,
     schedule_preset,
 )
 
@@ -348,24 +355,101 @@ class TestCliBench:
         assert timing["wall_overhead_over_textonly"] == pytest.approx(
             timing["vica_median_s"] / timing["textonly_median_s"] - 1
         )
-        # not decoupled: the vica clock, and so its multiplies, include the KV build
+        # the joint clock, and so its multiplies, include the KV build
         assert timing["mac_overhead_over_textonly"] == pytest.approx(
             report["macs"]["vica"] / self._textonly_macs() - 1
         )
         out = capsys.readouterr().out
         assert "ratio" in out and "textonly" in out
 
-    def test_decoupled_flag_recorded(self, tmp_path):
-        code = main(self.SMOKE + ["--decoupled", "--out", str(tmp_path)])
+    def test_split_clock_readings(self, tmp_path):
+        # one timed loop: each rep builds a fresh KV and prefills on it, with
+        # the clock read between the two
+        code = main(self.SMOKE + ["--reps", "3", "--out", str(tmp_path)])
         assert code == EXIT_OK
-        report = json.loads((tmp_path / "bench.json").read_text())
-        assert report["timing"]["decoupled"] is True
+        timing = json.loads((tmp_path / "bench.json").read_text())["timing"]
+        assert "decoupled" not in timing
+        for name in ("baseline", "vica", "precompute", "prefill", "textonly"):
+            assert len(timing[f"{name}_s"]) == 3 and min(timing[f"{name}_s"]) > 0
+            assert timing[f"{name}_median_s"] == median(timing[f"{name}_s"])
+        assert timing["vica_s"] == [
+            a + b for a, b in zip(timing["precompute_s"], timing["prefill_s"])
+        ]
+        assert timing["prefill_wall_overhead_over_textonly"] == (
+            timing["prefill_median_s"] / timing["textonly_median_s"] - 1
+        )
         cfg = self._config()
         fast = count_forward_macs(cfg.model_config(), cfg.layout(),
                                   cfg.policy_schedule(8), "fast", include_kv_precompute=False)
-        assert report["timing"]["mac_overhead_over_textonly"] == pytest.approx(
-            fast / self._textonly_macs() - 1
+        assert timing["prefill_mac_overhead_over_textonly"] == fast / self._textonly_macs() - 1
+
+    def test_decoupled_option_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(self.SMOKE + ["--decoupled", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("decoupled = true\n")
+        assert main(self.SMOKE + ["--config", str(cfg), "--out", str(tmp_path)]) == (
+            EXIT_CONFIG_ERROR
         )
+
+    # each exited 1 when the check compared the counts with a hand-mixed rule
+    @pytest.mark.parametrize("args", [
+        "--layers 2 --heads 2 --d-model 8 --d-ffn 16 --n 0 --schedule sparse:0",
+        "--layers 2 --heads 1 --d-model 8 --d-ffn 8 --n 4 --t-system 0 --t-question 1 "
+        "--schedule sparse:0",
+        "--layers 2 --heads 1 --d-model 8 --d-ffn 8 --n 4 --schedule freeze --dtype float32",
+        "--layers 32 --heads 4 --d-model 32 --d-ffn 64 --n 64 --schedule vica7b+pdrop",
+    ])
+    def test_counts_checked_against_the_timed_rules(self, tmp_path, capsys, args):
+        code = main(["bench", *args.split(), "--reps", "1", "--warmup", "0",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert "rel err 0.00%" in capsys.readouterr().out
+        macs = json.loads((tmp_path / "bench.json").read_text())["macs"]
+        assert macs["ratio"] == macs["table_ratio"] and macs["ratio_rel_err"] == 0.0
+
+    def test_miscount_fails(self, tmp_path, capsys, monkeypatch):
+        real = harness.forward_vica_fast
+
+        def miscounting(weights, kv, text_emb, schedule, *, counter=None):
+            out = real(weights, kv, text_emb, schedule, counter=counter)
+            if counter is not None:
+                counter.add(counter.macs // 10)  # 10% extra MACs
+            return out
+
+        monkeypatch.setattr(harness, "forward_vica_fast", miscounting)
+        code = main(self.SMOKE + ["--out", str(tmp_path)])
+        assert code == EXIT_VERIFY_FAILED
+        assert "FAIL" in capsys.readouterr().out
+        report = json.loads((tmp_path / "bench.json").read_text())
+        assert report["macs"]["ratio_rel_err"] > 0.05
+        assert report["checks"]["mac_ratio_within_5pct"] is False
+
+    @pytest.mark.parametrize("geometry", [
+        "--layers 8 --heads 8 --d-model 64 --d-ffn 172 --n 144 --schedule sparse:0,3",
+        "--layers 32 --heads 4 --d-model 64 --d-ffn 172 --n 144 --schedule vica7b+pdrop",
+    ])
+    def test_cost_model_and_its_named_differences(self, tmp_path, geometry):
+        assert main(["bench", *geometry.split(), "--reps", "1", "--warmup", "0",
+                     "--out", str(tmp_path / "bench")]) == EXIT_OK
+        assert main(["cost", *geometry.split(), "--out", str(tmp_path / "cost")]) == EXIT_OK
+        macs = json.loads((tmp_path / "bench" / "bench.json").read_text())["macs"]
+        cost = json.loads((tmp_path / "cost" / "cost.json").read_text())
+        # the cost model's ratio is the one `vica cost` reports
+        assert macs["costmodel_ratio"] == cost["schedule_costs"]["relative_total"]
+        # the named differences sum to the fast path's count less the model's
+        args = dict(zip(geometry.split()[::2], geometry.split()[1::2]))
+        mc = ModelConfig(*(int(args[k]) for k in ("--layers", "--heads", "--d-model", "--d-ffn")),
+                         max_seq=int(args["--n"]) + 55)
+        layout = TokenLayout(int(args["--n"]), 35, 20)
+        sched = parse_schedule(args["--schedule"], mc.n_layers)
+        gap = macs["vica_minus_costmodel"]
+        assert set(gap) == {*MAC_OPS, "logits"}
+        paper = mac_total(mac_table(sched, mc.d_model, mc.d_ffn, layout, "paper"))
+        assert macs["costmodel_vica"] == paper
+        assert sum(gap.values()) == count_forward_macs(mc, layout, sched, "fast") - paper
+        assert sum(gap.values()) == macs["vica"] - macs["costmodel_vica"]
 
     def test_rerun_identical_outside_timing(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -394,15 +478,17 @@ class TestCliBench:
         assert code == EXIT_OK
         report = json.loads((tmp_path / "bench.json").read_text())
         assert report["checks"]["mac_ratio_within_5pct"] is True
-        # the paper's cost of the schedule, plus the keys/values of the rows
-        # its cuts drop: the precompute projects them at every retained layer
+        # the paper's cost of the schedule; the precompute projects the keys/
+        # values of the rows its cuts drop at every retained layer, which is
+        # named as the fast path's excess over it
         ci = CostInputs(32, 64, 172, n=144)
         sched = schedule_preset("vica7b+pdrop")
         counts = resolved_vision_counts(sched, ci)
         dropped_kv = sum(2 * 2 * (144 - counts[l]) * 64 * 64 for l in sched.frozen_vision_layers())
-        model = schedule_vision_flops(sched, ci) + text_only_flops(ci) + dropped_kv
+        model = schedule_vision_flops(sched, ci) + text_only_flops(ci)
         assert dropped_kv > 0
         assert report["macs"]["costmodel_ratio"] == model / total_flops(ci)
+        assert 2 * report["macs"]["vica_minus_costmodel"]["vision_kv"] == dropped_kv
 
 
 class TestManifest:
@@ -451,10 +537,13 @@ class TestCliPlumbing:
         assert code == EXIT_CONFIG_ERROR
 
     def test_diagnose_empty_or_repeated_paths(self, tmp_path):
-        cfg = tmp_path / "empty.cfg"
+        cfg, trailing = tmp_path / "empty.cfg", tmp_path / "trailing.cfg"
         cfg.write_text("paths =\n")
+        trailing.write_text("paths = t2v_read,\n")
         out = tmp_path / "out"
-        for argv in (["--config", str(cfg)], ["--paths", "t2v_read,t2v_read"]):
+        # one parser for both: an empty item exits 2 from a file and a flag alike
+        for argv in (["--config", str(cfg)], ["--paths", "t2v_read,t2v_read"],
+                     ["--config", str(trailing)], ["--paths", "t2v_read,"]):
             assert main(["diagnose", *argv, "--out", str(out)]) == EXIT_CONFIG_ERROR
         assert not out.exists() or not any(out.iterdir())
 
