@@ -1,11 +1,13 @@
 """Permission masks and attention over a [vision; text] token stream.
 
 The token stream is always ordered vision prefix first, then system text,
-then question text. A causal mask over that ordering already guarantees that
-no vision query can see a text key (vision tokens precede all text), which is
-what lets the text rows be computed against a rectangular key set: row ``i``
-of a length-``q`` query block over ``kv`` keys may attend to key ``j`` iff
-``j <= i + (kv - q)``, the bottom-right alignment of the causal diagonal.
+then question text; system and question rows follow one rule, so every
+text row reads the whole vision prefix. A causal mask over that ordering
+already guarantees that no vision query can see a text key (vision tokens
+precede all text), which is what lets the text rows be computed against a
+rectangular key set: row ``i`` of a length-``q`` query block over ``kv``
+keys may attend to key ``j`` iff ``j <= i + (kv - q)``, the bottom-right
+alignment of the causal diagonal.
 
 Two evaluation paths are provided. :func:`masked_attention_oracle` takes an
 explicit boolean permission matrix (query rows by keys), forms the full
@@ -14,11 +16,10 @@ score matrix and is the reference for everything else.
 the fast path: it builds no mask, works a group of heads and a block of
 query rows at a time (the group sized so its score tile stays
 cache-sized), forms no key tile past a block's last permitted key and
-applies the bottom-right rule (plus optional vision-blind rows) to the
-rest in place. When a bound on every score proves ``exp`` cannot
-overflow, it exponentiates the scores unshifted and zeroes the masked
-ones; otherwise it masks them to ``-inf`` and shifts each row by its max
-first. Every engine layer runs on it; a
+applies the bottom-right rule to the rest in place. When a bound on every
+score proves ``exp`` cannot overflow, it exponentiates the scores
+unshifted and zeroes the masked ones; otherwise it masks them to ``-inf``
+and shifts each row by its max first. Every engine layer runs on it; a
 joint ``BASELINE`` layer as two calls of the one layer body: the text rows
 over all keys, then the vision rows as their own causal block (no prefix
 keys). :func:`attention_weights` gives unmasked head-averaged attention
@@ -103,27 +104,15 @@ def build_baseline_mask(layout: TokenLayout) -> np.ndarray:
     return bottom_right_mask(layout.total, layout.total)
 
 
-def build_cross_mask(
-    layout: TokenLayout,
-    include_vision: bool = True,
-    system_reads_vision: bool = True,
-) -> np.ndarray:
+def build_cross_mask(layout: TokenLayout, include_vision: bool = True) -> np.ndarray:
     """Mask for text queries over [vision keys; text keys].
 
     Equals the last ``n_text`` rows of the baseline mask: every text row sees
     the whole vision prefix plus the causal text prefix. With
     ``include_vision=False`` the key set is text only (plain causal).
-    ``system_reads_vision=False`` additionally blinds the system-prompt rows
-    to vision keys, matching eager attention implementations that mask the
-    system prompt away from the image.
     """
     t = layout.n_text
-    if not include_vision:
-        return bottom_right_mask(t, t)
-    allowed = bottom_right_mask(t, layout.n_vision + t)
-    if not system_reads_vision:
-        allowed[: layout.t_system, : layout.n_vision] = False
-    return allowed
+    return bottom_right_mask(t, layout.n_vision + t if include_vision else t)
 
 
 def split_heads(x: np.ndarray, n_heads: int) -> list[np.ndarray]:
@@ -212,16 +201,13 @@ def asymmetric_cross_attention(
     k_all: np.ndarray,
     v_all: np.ndarray,
     n_heads: int,
-    n_blind: int = 0,
 ) -> np.ndarray:
     """Text queries over [vision keys; text keys] under the bottom-right rule.
 
     With ``t`` queries and ``kv_len`` keys, the first ``n = kv_len - t`` keys
     are the vision prefix. Query row ``i`` sees every vision key and the text
-    keys ``0..i``; the first ``n_blind`` rows are also blind to the vision
-    keys (system-prompt rows under eager masking). With ``n = 0`` this is
-    plain causal self-attention, which is how the engine runs the vision
-    rows of a joint layer.
+    keys ``0..i``. With ``n = 0`` this is plain causal self-attention, which
+    is how the engine runs the vision rows of a joint layer.
 
     The query rows split into ``max(1, t // _ROW_BLOCK)`` even blocks, and
     the heads split evenly into groups of at most ``_TILE // (block rows *
@@ -232,7 +218,7 @@ def asymmetric_cross_attention(
     only against keys ``0 .. n + r1 - 1``, its last permitted one, so the
     causally masked key tiles past it are never formed, masked or
     exponentiated. Inside the block only the diagonal text tile's future
-    keys and the blind rows' vision columns are masked.
+    keys are masked.
 
     Softmax is invariant to a per-row shift; the max shift only keeps
     ``exp`` in range. Before the loop the kernel bounds every score it will
@@ -251,8 +237,7 @@ def asymmetric_cross_attention(
     score, max/sum and value-mix buffers are allocated once per call.
 
     Matches :func:`masked_attention_oracle` under :func:`build_cross_mask`.
-    Credits the causal MAC count ``2 * d * (t * n + t * (t + 1) / 2)``,
-    independent of ``n_blind``.
+    Credits the causal MAC count ``2 * d * (t * n + t * (t + 1) / 2)``.
     """
     q_text = np.asarray(q_text)
     k_all = np.asarray(k_all)
@@ -265,8 +250,6 @@ def asymmetric_cross_attention(
         raise ShapeError(f"k {k_all.shape}, v {v_all.shape} inconsistent with q width {d}")
     if d % n_heads != 0:
         raise ShapeError(f"width {d} not divisible by {n_heads} heads")
-    if not 0 <= n_blind <= t:
-        raise ShapeError(f"n_blind {n_blind} outside 0..{t}")
     n = kv_len - t
     out = np.empty(q_text.shape, dtype=q_text.dtype)  # row-major: written via a view
     if t == 0:
@@ -301,8 +284,6 @@ def asymmetric_cross_attention(
             if not shift:
                 np.exp(scores, out=scores)
             np.copyto(scores[:, :, n + r0 :], fill, where=future[:rows, :rows])
-            if r0 < n_blind:
-                scores[:, : n_blind - r0, :n] = fill
             if shift:
                 scores -= np.max(scores, axis=2, keepdims=True, out=red)
                 np.exp(scores, out=scores)  # masked entries: exp(-inf) == 0.0

@@ -57,11 +57,14 @@ class CosineChange:
 
 
 def cosine_change(before: np.ndarray, after: np.ndarray) -> CosineChange:
-    """Per-row 1 - cos(before, after); zero-norm rows are excluded."""
+    """Per-row 1 - cos(before, after); zero-norm rows are excluded and a
+    non-finite entry raises ValueError, so a NaN row is never skipped."""
     before = np.asarray(before, dtype=float)
     after = np.asarray(after, dtype=float)
     if before.shape != after.shape or before.ndim != 2:
         raise ValueError(f"row sets {before.shape} and {after.shape} must match")
+    if not (np.isfinite(before).all() and np.isfinite(after).all()):
+        raise ValueError("row sets hold non-finite entries")
     nb = np.linalg.norm(before, axis=1)
     na = np.linalg.norm(after, axis=1)
     ok = (nb > 0.0) & (na > 0.0)
@@ -86,7 +89,8 @@ def kl_divergence(p: np.ndarray, p_prime: np.ndarray) -> float:
     for name, dist in (("p", p), ("p_prime", q)):
         if (dist < 0.0).any():
             raise ValueError(f"{name} has negative entries")
-        if abs(float(dist.sum()) - 1.0) > 1e-9:
+        # written as not (... <= x) so that a NaN sum fails
+        if not (abs(float(dist.sum()) - 1.0) <= 1e-9):
             raise ValueError(f"{name} sums to {float(dist.sum())}, not 1")
     if (q < KL_FLOOR).any():
         q = np.maximum(q, KL_FLOOR)

@@ -145,7 +145,7 @@ class ExperimentConfig:
     def policy_schedule(self, n_layers: int) -> PolicySchedule:
         return parse_schedule(self.schedule or "baseline", n_layers)
 
-    def cost_inputs(self, schedule: PolicySchedule, mc: ModelConfig) -> CostInputs:
+    def cost_inputs(self, mc: ModelConfig) -> CostInputs:
         return CostInputs(
             mc.n_layers,
             mc.d_model,
@@ -153,7 +153,6 @@ class ExperimentConfig:
             n=self.n_vision,
             t_system=self.t_system,
             t_question=self.t_question,
-            n_retained=len(schedule.frozen_vision_layers()),
         )
 
     def layout(self) -> TokenLayout:
@@ -355,7 +354,7 @@ def check_golden(presets: list[str]) -> list[tuple[str, str, float, float, float
 def build_cost_report(cfg: ExperimentConfig) -> dict:
     mc = cfg.model_config()
     sched = cfg.policy_schedule(mc.n_layers)
-    ci = cfg.cost_inputs(sched, mc)
+    ci = cfg.cost_inputs(mc)
     parts = baseline_vision_flops(ci)
     update, ratio = visual_update_flops(ci)
     sched_vis = schedule_vision_flops(sched, ci)
@@ -468,19 +467,18 @@ def run_cost(cfg: ExperimentConfig) -> int:
         cfg = _golden_request(cfg, explicit_geometry)
     elif cfg.preset is None and not explicit_geometry:
         raise ConfigError("cost mode needs --preset or explicit geometry")
-    out_dir = resolve_out_dir(cfg)
+    # the reports parse the schedule: build them before the out dir exists
     if cfg.preset is None and not explicit_geometry:
         presets = sorted(GOLDEN_NUMBERS)
-        reports = {p: build_cost_report(_golden_config(p)) for p in presets}
-        dump_json(out_dir / "cost.json", reports)
-        for p in presets:
-            print(f"== {p} ==")
-            print(format_cost_text(reports[p]))
+        cost = {p: build_cost_report(_golden_config(p)) for p in presets}
+        text = "".join(f"== {p} ==\n{format_cost_text(cost[p])}\n" for p in presets)
     else:
         presets = [cfg.preset] if cfg.preset else []
-        report = build_cost_report(cfg)
-        dump_json(out_dir / "cost.json", report)
-        print(format_cost_text(report))
+        cost = build_cost_report(cfg)
+        text = format_cost_text(cost) + "\n"
+    out_dir = resolve_out_dir(cfg)
+    dump_json(out_dir / "cost.json", cost)
+    print(text, end="")
     write_manifest(out_dir, cfg)
 
     if not cfg.golden:
@@ -529,16 +527,15 @@ def _seeded_batch(cfg: ExperimentConfig, d_model: int):
 
 def run_diagnose(cfg: ExperimentConfig) -> int:
     cfg.require_desk_scale()
-    out_dir = resolve_out_dir(cfg)
     mc = cfg.model_config()
     sched = cfg.policy_schedule(mc.n_layers)
     weights = init_model(mc, cfg.seed)
     batch = _seeded_batch(cfg, mc.d_model)
 
-    reports = {}
-    for path in cfg.paths:
-        report = layer_sweep(weights, batch, path, schedule=sched)
-        reports[path] = report
+    # the sweeps refuse what they cannot run: run them before the out dir exists
+    reports = {path: layer_sweep(weights, batch, path, schedule=sched) for path in cfg.paths}
+    out_dir = resolve_out_dir(cfg)
+    for path, report in reports.items():
         csv_lines = ["layer,kl,one_minus_cos"]
         dat_lines = [f"# path: {path}", "# layer kl one_minus_cos"]
         for l in report.layers:
@@ -737,27 +734,24 @@ def run_bench(cfg: ExperimentConfig) -> int:
     vica_minus_model = {op: mac_total(fast, (op,)) - mac_total(paper, (op,)) for op in MAC_OPS}
     vica_minus_model["logits"] = vica_table - mac_total(fast)
 
-    def time_reps(**steps) -> dict[str, list[float]]:
-        """Seconds of each named step in each timed rep, after the warmup
-        reps; a step is given the result of the step before it."""
-        laps = []
-        for rep in range(cfg.warmup + cfg.reps):
-            out, ticks = None, [time.perf_counter()]
-            for step in steps.values():
-                out = step(out)
-                ticks.append(time.perf_counter())
-            if rep >= cfg.warmup:
-                laps.append([b - a for a, b in zip(ticks, ticks[1:])])
-        return {name: list(col) for name, col in zip(steps, zip(*laps))}
-
-    times = {
-        **time_reps(baseline=lambda _: forward(weights, ve, te, baseline, layout=layout)),
-        # each rep builds a fresh KV, then prefills on it
-        **time_reps(precompute=lambda _: precompute_visual_kv(weights, ve, sched),
-                    prefill=lambda fresh: forward_vica_fast(weights, fresh, te, sched)),
-        # text-only reads no vision KV, so it has none to build
-        **time_reps(textonly=lambda _: forward_vica_fast(weights, no_kv, te, textonly)),
-    }
+    # the paths rep by rep in one loop, so every overhead is read on one clock
+    # window; each rep builds a fresh KV, then prefills on it, and text-only
+    # reads no vision KV, so it has none to build
+    times = {name: [] for name in ("baseline", "precompute", "prefill", "textonly")}
+    for rep in range(cfg.warmup + cfg.reps):
+        ticks = [time.perf_counter()]
+        forward(weights, ve, te, baseline, layout=layout)
+        ticks.append(time.perf_counter())
+        fresh = precompute_visual_kv(weights, ve, sched)
+        ticks.append(time.perf_counter())
+        forward_vica_fast(weights, fresh, te, sched)
+        ticks.append(time.perf_counter())
+        del fresh
+        forward_vica_fast(weights, no_kv, te, textonly)
+        ticks.append(time.perf_counter())
+        if rep >= cfg.warmup:
+            for laps, a, b in zip(times.values(), ticks, ticks[1:]):
+                laps.append(b - a)
     times["vica"] = [a + b for a, b in zip(times["precompute"], times["prefill"])]
     med = {name: median(t) for name, t in times.items()}
     report = {

@@ -17,19 +17,20 @@ The engine and the fast path run one layer loop, :func:`_prefill`, and
 every layer one layer body, :func:`_layer`: a block of rows goes through
 causal attention (the kernel
 :func:`~vica.attention.asymmetric_cross_attention`) and the FFN, reading
-read-only prefix keys/values if it is given any. The text rows go first in
-every layer, as such a block over the vision keys/values of every mode of
-``KV_MODES``; a drop event is scored inside that call, from the last text
-row's attention. No vision query ever sees a text key, so a joint
-``BASELINE`` layer factorises exactly: the surviving vision rows then run
-the same body as their own causal block over those keys/values. The
-loop's vision source is either the vision rows, which :func:`_vision_kv`
-projects at each layer, or the keys/values :func:`precompute_visual_kv`
-projected from them ahead of any text, gathered by the kept rows after a
-cut. Frozen rows never change, so both give the same bits:
-:func:`forward_vica_fast` runs drop schedules without ever materializing
-vision rows, at the price of projecting every row at every retaining
-layer. Everything computes in the dtype of the weights and inputs.
+read-only prefix keys/values if it is given any. The text rows, system and
+question alike, go first in every layer, as such a block over the vision
+keys/values of every mode of ``KV_MODES``; a drop event is scored inside
+that call, from the last text row's attention. No vision query ever sees a
+text key, so a joint ``BASELINE`` layer factorises exactly: the surviving
+vision rows then run the same body as their own causal block over those
+keys/values. The loop's vision source is either the vision rows, which
+:func:`_vision_kv` projects at each layer, or the keys/values
+:func:`precompute_visual_kv` projected from them ahead of any text,
+gathered by the kept rows after a cut. Frozen rows never change, so both
+give the same bits: :func:`forward_vica_fast` runs drop schedules without
+ever materializing vision rows, at the price of projecting every row at
+every retaining layer. Everything computes in the dtype of the weights and
+inputs.
 
 :func:`forward_baseline_masked_oracle` is the referee for all of this,
 ``BASELINE`` layers included. It shares only the norm, projections and FFN
@@ -472,18 +473,16 @@ def _layer(
     lw: LayerWeights,
     n_heads: int,
     prefix_kv: tuple[np.ndarray, np.ndarray] | None = None,
-    n_blind: int = 0,
     keep: int | None = None,
     kv: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """One causal layer over ``rows``, reading read-only prefix KV if given.
 
     The rows attend to ``[prefix keys; own keys]`` under the bottom-right
-    rule, the first ``n_blind`` of them without the prefix keys. ``kv`` holds
-    the rows' own keys and values if the caller has projected them already.
-    A ``keep`` below the prefix length cuts the prefix first to the ``keep``
-    rows the last row attends to most, head-averaged over ``[prefix keys;
-    own keys]`` (PyramidDrop's rule; ``n_blind`` plays no part).
+    rule. ``kv`` holds the rows' own keys and values if the caller has
+    projected them already. A ``keep`` below the prefix length cuts the
+    prefix first to the ``keep`` rows the last row attends to most,
+    head-averaged over ``[prefix keys; own keys]`` (PyramidDrop's rule).
     Returns (post_attn, post_ffn, kept), ``kept`` being the sorted indices
     of the surviving prefix rows, or None when nothing was cut.
     """
@@ -499,7 +498,7 @@ def _layer(
             kept = select_kept_tokens(w[:, :n_pre], keep)
             k_pre, v_pre = k_pre[kept], v_pre[kept]
         k, v = np.vstack([k_pre, k]), np.vstack([v_pre, v])
-    attn = asymmetric_cross_attention(q, k, v, n_heads, n_blind)
+    attn = asymmetric_cross_attention(q, k, v, n_heads)
     r_attn = rows + matmul(attn, lw.wo)
     r_ffn = r_attn + gated_ffn(rms_norm(r_attn, lw.ffn_gain), lw.w_gate, lw.w_up, lw.w_down)
     return r_attn, r_ffn, kept
@@ -514,30 +513,28 @@ def forward(
     layout: TokenLayout | None = None,
     record_trace: bool = False,
     counter=None,
-    system_reads_vision: bool = True,
 ) -> ForwardResult:
     """Policy-engine forward pass over the [vision; text] stream.
 
     Under any non-``BASELINE`` policy the vision rows are structurally frozen:
     the engine simply never writes to them, so they remain bit-identical to
-    the input embeddings at every layer.
+    the input embeddings at every layer. ``layout`` is only checked against
+    the embeddings: every text row, system or question, reads the vision
+    keys, so the split does not change what is computed.
     """
     n0, t = _check_inputs(weights, vision_emb, text_emb, schedule)
-    if layout is None:
-        layout = TokenLayout(n0, 0, t)
-    elif (layout.n_vision, layout.n_text) != (n0, t):
+    if layout is not None and (layout.n_vision, layout.n_text) != (n0, t):
         raise ConfigError(
             f"layout {layout} does not match embeddings ({n0} vision, {t} text)"
         )
     return _prefill(
         weights, schedule, text_emb, v_rows=np.array(vision_emb, copy=True),
-        n_blind=0 if system_reads_vision else layout.t_system,
         counter=counter, trace=[] if record_trace else None,
     )
 
 
 def _prefill(weights: Weights, schedule: PolicySchedule, text_emb: np.ndarray, *,
-             v_rows: np.ndarray | None = None, kv: VisualKvSet | None = None, n_blind: int = 0,
+             v_rows: np.ndarray | None = None, kv: VisualKvSet | None = None,
              counter=None, trace: list[LayerTrace] | None = None) -> ForwardResult:
     """The layers of :func:`forward` and :func:`forward_vica_fast`, then the logits.
 
@@ -559,7 +556,7 @@ def _prefill(weights: Weights, schedule: PolicySchedule, text_emb: np.ndarray, *
                 vision_kv = (k_vis, v_vis) if chain is None else (k_vis[chain], v_vis[chain])
             else:
                 vision_kv = _vision_kv(v_rows, lw) if pol.mode in KV_MODES else None
-            t_attn, t_ffn, kept = _layer(t_rows, lw, cfg.n_heads, vision_kv, n_blind, counts[l])
+            t_attn, t_ffn, kept = _layer(t_rows, lw, cfg.n_heads, vision_kv, counts[l])
             if kept is not None:
                 chain = kept if chain is None else chain[kept]
                 v_rows = None if v_rows is None else v_rows[kept]

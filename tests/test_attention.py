@@ -53,24 +53,12 @@ def attention_loop_oracle(q, k, v, allowed, n_heads):
     return out
 
 
-# (n vision keys, t queries, n_blind): small layouts; then no queries, one row
-# block at its edges (63..65 rows), two blocks (128, 129), three (200), and
-# blind rows ending on either side of a block boundary (blocks start at rows
-# 64 for t=128/129, 66 and 133 for t=200)
-GRID_CASES = [
-    (n, t, n_blind)
-    for n in range(0, 9, 2)
-    for t in range(1, 9, 2)
-    for n_blind in sorted({0, 1, t})
-]
-GRID_CASES += [
-    (n, t, n_blind)
-    for n in (0, 7)
-    for t in (0, 63, 64, 65, 128, 129)
-    for n_blind in sorted({0, min(1, t), t})
-]
-GRID_CASES += [(7, 128, b) for b in (63, 64, 65)] + [(7, 129, b) for b in (64, 100)]
-GRID_CASES += [(5, 200, b) for b in (65, 66, 67, 132, 133, 134)]
+# (n vision keys, t queries): small layouts; then no queries, one row block
+# at its edges (63..65 rows), two blocks (128, 129; the second starts at row
+# 64) and three (200; blocks start at rows 66 and 133)
+GRID_CASES = [(n, t) for n in range(0, 9, 2) for t in range(1, 9, 2)]
+GRID_CASES += [(n, t) for n in (0, 7) for t in (0, 63, 64, 65, 128, 129)]
+GRID_CASES += [(5, 200)]
 
 
 def _force_heads_per_group(monkeypatch, n, t, per_group):
@@ -92,7 +80,7 @@ def _exp_limit(dtype):
 
 def _check_grid(rng, d, n_heads, dtype, atol, monkeypatch=None, heads_per_group=None,
                 qk_scale=1.0):
-    for n, t, n_blind in GRID_CASES:
+    for n, t in GRID_CASES:
         if monkeypatch is not None:
             _force_heads_per_group(monkeypatch, n, t, heads_per_group)
         q = rng.standard_normal((t, d)) * qk_scale
@@ -101,13 +89,12 @@ def _check_grid(rng, d, n_heads, dtype, atol, monkeypatch=None, heads_per_group=
         if qk_scale != 1.0 and t > 0:
             assert _score_bound(q, k, n_heads) > _exp_limit(np.float64)
         fast = asymmetric_cross_attention(
-            q.astype(dtype), k.astype(dtype), v.astype(dtype), n_heads, n_blind
+            q.astype(dtype), k.astype(dtype), v.astype(dtype), n_heads
         )
         assert fast.shape == (t, d) and fast.dtype == dtype
-        mask = build_cross_mask(TokenLayout(n, n_blind, t - n_blind), True, False)
         np.testing.assert_allclose(
-            fast, masked_attention_oracle(q, k, v, mask, n_heads), atol=atol,
-            err_msg=f"n={n} t={t} n_blind={n_blind}",
+            fast, masked_attention_oracle(q, k, v, bottom_right_mask(t, n + t), n_heads),
+            atol=atol, err_msg=f"n={n} t={t}",
         )
 
 
@@ -213,15 +200,6 @@ class TestCrossMask:
         full = build_baseline_mask(layout)
         cross = build_cross_mask(layout)
         assert np.array_equal(cross, full[n:, :])
-
-    def test_system_rows_can_be_blinded(self):
-        layout = TokenLayout(3, 2, 2)
-        mask = build_cross_mask(layout, system_reads_vision=False)
-        assert not mask[:2, :3].any()          # system rows see no vision
-        assert mask[2:, :3].all()              # question rows still do
-        # text-text causality untouched
-        default = build_cross_mask(layout)
-        assert np.array_equal(mask[:, 3:], default[:, 3:])
 
 
 class TestMaskedAttentionOracle:
@@ -346,19 +324,19 @@ class TestAsymmetricCrossAttention:
 
     @pytest.mark.parametrize("big", [10.0, 3000.0])
     def test_masked_keys_scoring_far_above_visible_ones(self, big):
-        # Each row's masked keys (future text keys; vision keys on the blind
-        # rows) score big / sqrt(d) against ~0 for its permitted ones. At 3000
-        # the bound exceeds the limit, and a max shift taken over the masked
-        # entries would underflow every permitted weight to 0.
-        n, t, n_blind = 3, 6, 2
-        mask = build_cross_mask(TokenLayout(n, n_blind, t - n_blind), True, False)
+        # Each row's masked keys, its future text keys, score big / sqrt(d)
+        # against ~0 for its permitted ones. At 3000 the bound exceeds the
+        # limit, and a max shift taken over the masked entries would underflow
+        # every permitted weight to 0.
+        n, t = 3, 6
+        mask = bottom_right_mask(t, n + t)
         rng = np.random.default_rng(12)
         q = ~mask + 0.01 * rng.standard_normal((t, n + t))
         k = big * np.eye(n + t) + 0.01 * rng.standard_normal((n + t, n + t))
         v = rng.standard_normal((n + t, n + t))
         assert (_score_bound(q, k, 1) > _exp_limit(np.float64)) == (big > 100)
         np.testing.assert_allclose(
-            asymmetric_cross_attention(q, k, v, 1, n_blind),
+            asymmetric_cross_attention(q, k, v, 1),
             masked_attention_oracle(q, k, v, mask, 1), atol=1e-12,
         )
 
@@ -372,8 +350,8 @@ class TestAsymmetricCrossAttention:
         k *= 0.999 * _exp_limit(np.float64) / _score_bound(q, k, n_heads)
         v = rng.standard_normal((n + t, d))
         assert 0.99 < _score_bound(q, k, n_heads) / _exp_limit(np.float64) < 1.0
-        fast = asymmetric_cross_attention(q, k, v, n_heads, 20)
-        mask = build_cross_mask(TokenLayout(n, 20, t - 20), True, False)
+        fast = asymmetric_cross_attention(q, k, v, n_heads)
+        mask = bottom_right_mask(t, n + t)
         np.testing.assert_allclose(
             fast, masked_attention_oracle(q, k, v, mask, n_heads), rtol=0, atol=1e-12
         )
@@ -399,40 +377,34 @@ class TestAsymmetricCrossAttention:
                     monkeypatch=monkeypatch, heads_per_group=2)
 
     def test_uneven_head_groups_float32(self, monkeypatch):
-        # 5 heads in 2 groups (2 + 3), two row blocks, blind rows past the boundary
+        # 5 heads in 2 groups (2 + 3), two row blocks
         rng = np.random.default_rng(9)
-        n, t, n_blind, n_heads = 7, 129, 100, 5
+        n, t, n_heads = 7, 129, 5
         _force_heads_per_group(monkeypatch, n, t, 3)
         q = rng.standard_normal((t, 10))
         k = rng.standard_normal((n + t, 10))
         v = rng.standard_normal((n + t, 10))
         fast = asymmetric_cross_attention(
-            q.astype(np.float32), k.astype(np.float32), v.astype(np.float32), n_heads, n_blind
+            q.astype(np.float32), k.astype(np.float32), v.astype(np.float32), n_heads
         )
         assert fast.dtype == np.float32
-        mask = build_cross_mask(TokenLayout(n, n_blind, t - n_blind), True, False)
         np.testing.assert_allclose(
-            fast, masked_attention_oracle(q, k, v, mask, n_heads), atol=1e-5
+            fast, masked_attention_oracle(q, k, v, bottom_right_mask(t, n + t), n_heads),
+            atol=1e-5,
         )
 
-    @pytest.mark.parametrize("n, t, n_blind", [(576, 55, 0), (576, 55, 35), (0, 200, 0), (7, 129, 64)])
-    def test_one_head_per_group_equals_default_grouping(self, monkeypatch, n, t, n_blind):
+    @pytest.mark.parametrize("n, t", [(576, 55), (0, 200), (7, 129)])
+    def test_one_head_per_group_equals_default_grouping(self, monkeypatch, n, t):
         rng = np.random.default_rng(10)
         q = rng.standard_normal((t, 256))
         k = rng.standard_normal((n + t, 256))
         v = rng.standard_normal((n + t, 256))
-        grouped = asymmetric_cross_attention(q, k, v, 32, n_blind)
+        grouped = asymmetric_cross_attention(q, k, v, 32)
         monkeypatch.setattr(attention, "_TILE", 1)
-        assert np.array_equal(asymmetric_cross_attention(q, k, v, 32, n_blind), grouped)
+        assert np.array_equal(asymmetric_cross_attention(q, k, v, 32), grouped)
 
     def test_too_many_queries_rejected(self):
         with pytest.raises(ShapeError):
             asymmetric_cross_attention(
                 np.zeros((4, 8)), np.zeros((3, 8)), np.zeros((3, 8)), 2
             )
-
-    def test_blind_rows_outside_queries_rejected(self):
-        q, kv = np.zeros((2, 8)), np.zeros((5, 8))
-        for n_blind in (-1, 3):
-            with pytest.raises(ShapeError):
-                asymmetric_cross_attention(q, kv, kv, 2, n_blind)

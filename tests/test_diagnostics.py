@@ -67,6 +67,17 @@ class TestKlDivergence:
         with pytest.raises(ValueError):
             kl_divergence([0.5, 0.4], [0.5, 0.5])
 
+    @pytest.mark.parametrize("p, q", [
+        ([math.nan, 0.5], [0.5, 0.5]),
+        ([0.5, 0.5], [math.nan, 0.5]),
+        ([math.nan, math.nan], [0.5, 0.5]),
+        ([0.5, 0.5], [math.inf, 0.5]),
+    ])
+    def test_rejects_non_finite(self, p, q):
+        # a NaN sum compares false against the tolerance, so it must fail it
+        with pytest.raises(ValueError):
+            kl_divergence(p, q)
+
     def test_floor_only_engages_on_tiny_entries(self):
         # a genuinely zero reference entry gets floored instead of exploding
         v = kl_divergence([0.5, 0.5], [1.0, 0.0])
@@ -110,6 +121,15 @@ class TestCosineChange:
         r = cosine_change(x, y)
         assert r.skipped == 1
         assert r.mean == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_rejects_non_finite_rows(self, bad, side):
+        # such a row's norm is not finite: it must not be skipped as zero-norm
+        rows = [np.ones((3, 4)), np.ones((3, 4))]
+        rows[side][1, 2] = bad
+        with pytest.raises(ValueError):
+            cosine_change(*rows)
 
     def test_empty_input(self):
         r = cosine_change(np.empty((0, 4)), np.empty((0, 4)))

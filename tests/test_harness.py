@@ -547,6 +547,17 @@ class TestCliPlumbing:
             assert main(["diagnose", *argv, "--out", str(out)]) == EXIT_CONFIG_ERROR
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["cost", "--preset", "llava7b", "--schedule", "nope"],
+        ["diagnose", "--schedule", "sparse:x"],
+        # parses, but the sweep's referee takes no drop events
+        ["diagnose", "--schedule", "baseline+pdrop"],
+    ])
+    def test_bad_schedule_creates_no_out_dir(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG_ERROR
+        assert not out.exists()
+
     def test_crash_exits_internal_error(self, tmp_path, monkeypatch, capsys):
         def crash(cfg):
             raise RuntimeError("boom")

@@ -10,7 +10,6 @@ import vica.model as model_module
 from vica.attention import (
     TokenLayout,
     attention_weights,
-    bottom_right_mask,
     build_cross_mask,
 )
 from vica.model import (
@@ -32,7 +31,6 @@ from vica.model import (
     precompute_visual_kv,
     schedule_preset,
     schedule_to_disabled_paths,
-    _baseline_layer,
     _embed_text,
 )
 from vica.numerics import MacCounter, ShapeError, matmul, rms_norm, row_softmax
@@ -198,20 +196,25 @@ class TestForwardPolicies:
         with pytest.raises(ConfigError):
             forward(w, ve, np.empty((0, 8)), PolicySchedule.baseline(3))
 
-    def test_eager_system_blinding_flag(self):
+    @pytest.mark.parametrize("sched", [
+        PolicySchedule.baseline(3),
+        PolicySchedule.freeze_vis(3),
+        PolicySchedule.sparse_cross(3, {0, 2}),
+        PolicySchedule.freeze_vis(3).with_drops({1: 0.5, 2: 0.5}),
+    ], ids=["baseline", "freeze", "sparse_0_2", "freeze_drops"])
+    def test_system_question_split_changes_nothing(self, sched):
+        # perfbench compares forward(..., layout=...) with paths that take no
+        # layout, so every split of the text rows must give the same bits
         w = init_model(TOY, seed=0)
-        ve, te = toy_inputs(7, t=4)
-        layout = TokenLayout(5, 2, 2)
-        sched = PolicySchedule.freeze_vis(3)
-        canonical = forward(w, ve, te, sched, layout=layout)
-        eager = forward(w, ve, te, sched, layout=layout, system_reads_vision=False)
-        assert not np.array_equal(canonical.logits, eager.logits)
-        # without system tokens the flag changes nothing
-        layout0 = TokenLayout(5, 0, 4)
-        np.testing.assert_array_equal(
-            forward(w, ve, te, sched, layout=layout0).logits,
-            forward(w, ve, te, sched, layout=layout0, system_reads_vision=False).logits,
-        )
+        n, t = 6, 5
+        ve, te = toy_inputs(9, n=n, t=t)
+        logits = [forward(w, ve, te, sched, layout=TokenLayout(n, ts, t - ts)).logits
+                  for ts in (0, 1, t)]
+        for other in logits[1:]:
+            np.testing.assert_array_equal(other, logits[0])
+        if PolicyMode.BASELINE not in (p.mode for p in sched.layers):
+            kv = precompute_visual_kv(w, ve, sched)
+            np.testing.assert_array_equal(forward_vica_fast(w, kv, te, sched).logits, logits[0])
 
 
 class TestMaskedOracleEquivalence:
@@ -236,27 +239,6 @@ class TestMaskedOracleEquivalence:
         assert np.abs(engine.logits - oracle.logits).max() <= 1e-12
         assert np.abs(engine.text_hidden - oracle.text_hidden).max() <= 1e-12
         assert np.abs(engine.vision_hidden - oracle.vision_hidden).max(initial=0.0) <= 1e-12
-
-    def test_system_blind_baseline_matches_masked_oracle(self):
-        # system_reads_vision=False on BASELINE layers: the joint causal mask
-        # with rows [n, n + t_system) blind to the vision keys [:n]; the 130
-        # text rows form two row blocks and the 70 blind rows cross their edge
-        cfg = ModelConfig(n_layers=2, n_heads=2, d_model=8, d_ffn=16, vocab=13, max_seq=256)
-        w = init_model(cfg, seed=5)
-        n, layout = 40, TokenLayout(40, 70, 60)
-        ve, te = toy_inputs(24, n=n, t=layout.n_text)
-        engine = forward(w, ve, te, PolicySchedule.baseline(2), layout=layout,
-                         system_reads_vision=False)
-        allowed = bottom_right_mask(layout.total, layout.total)
-        allowed[n : n + layout.t_system, :n] = False
-        h = np.vstack([ve, _embed_text(w, te, n)])
-        for lw in w.layers:
-            h = _baseline_layer(h, lw, allowed, 2, n)[1]
-        assert np.abs(engine.vision_hidden - h[:n]).max() <= 1e-12
-        assert np.abs(engine.text_hidden - h[n:]).max() <= 1e-12
-        # the blind rows do change the result
-        default = forward(w, ve, te, PolicySchedule.baseline(2), layout=layout)
-        assert np.abs(default.text_hidden - h[n:]).max() > 1e-6
 
     @pytest.mark.parametrize("n", [0, 5, 9])
     @pytest.mark.parametrize("letters", ["BFBT", "FBTB", "TBBF"])
@@ -524,17 +506,15 @@ class TestDropScoring:
         ("VTVB", {0: 0.5, 2: 0.75, 3: 0.5}),
     ]
 
-    @pytest.mark.parametrize("system_reads_vision", [True, False])
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     @pytest.mark.parametrize("letters,drops", CASES)
-    def test_kept_sets_match_full_block_rule(self, letters, drops, n_heads,
-                                             system_reads_vision):
+    def test_kept_sets_match_full_block_rule(self, letters, drops, n_heads):
         cfg = ModelConfig(n_layers=4, n_heads=n_heads, d_model=8, d_ffn=12, vocab=13,
                           max_seq=64)
         w = init_model(cfg, seed=n_heads)
         ve, te = toy_inputs(28, n=8, t=5)
         res = forward(w, ve, te, mixed_schedule(letters, drops), layout=TokenLayout(8, 2, 3),
-                      record_trace=True, system_reads_vision=system_reads_vision)
+                      record_trace=True)
         entry = np.vstack([ve, _embed_text(w, te, 8)])
         cuts = 0
         for l, e in enumerate(res.trace):

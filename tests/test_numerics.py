@@ -63,7 +63,9 @@ def softmax_where_reference(scores, allowed, scale):
 
 
 def _softmax_masks():
-    """Masks the engine produces, plus empty rows and masked trailing columns."""
+    """Masks the engine produces, plus empty rows, masked trailing columns and
+    an irregular block: the system rows blind to the vision columns, as eager
+    attention implementations mask them (the engine does not)."""
     layout = TokenLayout(200, 7, 12)  # 219 rows: three of the causal kernel's row blocks
     total = layout.total
     causal = bottom_right_mask(total, total)
@@ -75,12 +77,14 @@ def _softmax_masks():
     empty_block[64:160] = False  # 96 consecutive empty rows in the middle
     trailing = causal.copy()
     trailing[:, 150:] = False
+    system_blind = build_cross_mask(layout)
+    system_blind[: layout.t_system, : layout.n_vision] = False
     return {
         "causal_631": bottom_right_mask(631, 631),
         "causal_219": causal,
         "cross_55x631": bottom_right_mask(55, 631),
         "t2v_read_off": t2v_off,
-        "system_blind": build_cross_mask(layout, system_reads_vision=False),
+        "system_blind": system_blind,
         "empty_row": empty_row,
         "empty_row_block": empty_block,
         "trailing_cols_masked": trailing,
