@@ -31,11 +31,6 @@ from .model import (
     ConfigError,
 )
 
-# defaults that only make sense for a given mode; config files and flags win
-MODE_DEFAULTS = {
-    "diagnose": {"n_vision": 16, "t_system": 2, "t_question": 4},
-}
-
 RUNNERS = {
     "cost": run_cost,
     "diagnose": run_diagnose,
@@ -117,6 +112,7 @@ def print_presets() -> int:
     print("\nschedule presets:")
     print("  baseline / freeze / textonly   uniform policies at any depth")
     print("  baseline+pdrop                 quarter-depth 0.5 drops")
+    print("  sparse:<layer>,<layer>,...     cross-attention at the listed layers")
     for name, (n_layers, retained) in RETAINED_LAYERS.items():
         print(f"  {name:<10} {n_layers} layers, cross-attention at "
               f"{sorted(retained)}")
@@ -133,9 +129,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "presets":
         return print_presets()
     try:
-        values = dict(MODE_DEFAULTS.get(args.command, {}))
-        if getattr(args, "config", None):
-            values.update(parse_config(Path(args.config).read_text()))
+        config = getattr(args, "config", None)
+        values = parse_config(Path(config).read_text()) if config else {}
         values.update(
             {
                 k: v

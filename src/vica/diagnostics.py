@@ -42,6 +42,7 @@ from .model import (
     parse_path,
     schedule_to_disabled_paths,
 )
+from .numerics import row_softmax
 
 #: Probabilities below this are lifted before a KL evaluation (then the
 #: distribution is renormalized) so ablations that zero a token's mass
@@ -104,10 +105,7 @@ def kl_divergence(p: np.ndarray, p_prime: np.ndarray) -> float:
 
 def next_token_distribution(result: ForwardResult) -> np.ndarray:
     """Softmax over the final text position's logits."""
-    logits = result.logits[-1]
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    return row_softmax(result.logits[-1:])[0]
 
 
 @dataclass

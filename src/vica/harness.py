@@ -83,9 +83,9 @@ class ExperimentConfig:
     n_heads: int | None = None
     d_model: int | None = None
     d_ffn: int | None = None
-    n_vision: int = 576
-    t_system: int = 35
-    t_question: int = 20
+    n_vision: int | None = None
+    t_system: int | None = None
+    t_question: int | None = None
     seed: int = 0
     batch: int = 4
     reps: int = 3
@@ -96,15 +96,24 @@ class ExperimentConfig:
     golden: bool = False
     self_test: bool = False
 
-    MODES = ("cost", "diagnose", "equivalence", "bench")
-    DEFAULT_GEOMETRY = {
-        "diagnose": (4, 2, 16, 32),
-        "bench": (32, 32, 256, 688),
+    # per mode: the (n_layers, n_heads, d_model, d_ffn) used when none of
+    # them is set, and the (n_vision, t_system, t_question) filling each of
+    # those left unset; config files and flags win
+    MODE_DEFAULTS = {
+        "cost": (None, (576, 35, 20)),
+        "diagnose": ((4, 2, 16, 32), (16, 2, 4)),
+        "equivalence": (None, (576, 35, 20)),
+        "bench": ((32, 32, 256, 688), (576, 35, 20)),
     }
+    MODES = tuple(MODE_DEFAULTS)
 
     def __post_init__(self):
         if self.mode not in self.MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {self.MODES}")
+        for f_name, default in zip(("n_vision", "t_system", "t_question"),
+                                   self.MODE_DEFAULTS[self.mode][1]):
+            if getattr(self, f_name) is None:
+                setattr(self, f_name, default)
         if self.dtype not in ("float64", "float32"):
             raise ConfigError(f"dtype must be float64 or float32, got {self.dtype!r}")
         if self.preset is not None and self.preset not in MODEL_PRESETS:
@@ -126,21 +135,16 @@ class ExperimentConfig:
     def model_config(self) -> ModelConfig:
         if self.preset is not None:
             return MODEL_PRESETS[self.preset]
-        explicit = (self.n_layers, self.n_heads, self.d_model, self.d_ffn)
-        if all(v is not None for v in explicit):
-            return ModelConfig(
-                *explicit, max_seq=max(64, self.n_vision + self.t_system + self.t_question)
-            )
-        if any(v is not None for v in explicit):
+        geometry = (self.n_layers, self.n_heads, self.d_model, self.d_ffn)
+        if all(v is None for v in geometry):
+            geometry = self.MODE_DEFAULTS[self.mode][0]
+            if geometry is None:
+                raise ConfigError(f"{self.mode} mode needs --preset or explicit geometry")
+        elif None in geometry:
             raise ConfigError(
                 "partial geometry: set all of n_layers/n_heads/d_model/d_ffn or none"
             )
-        default = self.DEFAULT_GEOMETRY.get(self.mode)
-        if default is None:
-            raise ConfigError(f"{self.mode} mode needs --preset or explicit geometry")
-        return ModelConfig(
-            *default, max_seq=max(64, self.n_vision + self.t_system + self.t_question)
-        )
+        return ModelConfig(*geometry, max_seq=max(64, self.layout().total))
 
     def policy_schedule(self, n_layers: int) -> PolicySchedule:
         return parse_schedule(self.schedule or "baseline", n_layers)

@@ -222,16 +222,15 @@ def schedule_preset(name: str) -> PolicySchedule:
 def parse_schedule(name: str, n_layers: int) -> PolicySchedule:
     """Schedule by name for an ``n_layers``-deep model.
 
-    ``baseline``, ``baseline+pdrop``, ``freeze`` (or ``freezevis``) and
-    ``textonly`` fit any depth; ``sparse:<layer>,<layer>,...`` retains the
-    listed layers; any other name is a :func:`schedule_preset`, which must
-    span ``n_layers``.
+    ``baseline``, ``baseline+pdrop``, ``freeze`` and ``textonly`` fit any
+    depth; ``sparse:<layer>,<layer>,...`` retains the listed layers; any
+    other name is a :func:`schedule_preset`, which must span ``n_layers``.
     """
     if name == "baseline":
         return PolicySchedule.baseline(n_layers)
     if name == "baseline+pdrop":
         return PolicySchedule.baseline(n_layers).with_drops(pdrop_baseline_events(n_layers))
-    if name in ("freeze", "freezevis"):
+    if name == "freeze":
         return PolicySchedule.freeze_vis(n_layers)
     if name == "textonly":
         return PolicySchedule.text_only(n_layers)
@@ -483,25 +482,26 @@ def _layer(
     projected them already. A ``keep`` below the prefix length cuts the
     prefix first to the ``keep`` rows the last row attends to most,
     head-averaged over ``[prefix keys; own keys]`` (PyramidDrop's rule).
-    Returns (post_attn, post_ffn, kept), ``kept`` being the sorted indices
-    of the surviving prefix rows, or None when nothing was cut.
+    Returns (post_attn, post_ffn, kept, (k, v)): ``kept`` holds the sorted
+    indices of the surviving prefix rows, or None when nothing was cut, and
+    ``k``, ``v`` the keys and values the rows attended over, the surviving
+    prefix rows first.
     """
     x = rms_norm(rows, lw.attn_gain)
     q = matmul(x, lw.wq)
     k, v = kv if kv is not None else (matmul(x, lw.wk), matmul(x, lw.wv))
     kept = None
     if prefix_kv is not None:
-        k_pre, v_pre = prefix_kv
-        n_pre = k_pre.shape[0]
+        n_pre = len(prefix_kv[0])
+        k, v = np.vstack([prefix_kv[0], k]), np.vstack([prefix_kv[1], v])
         if keep is not None and keep < n_pre:
-            w = attention_weights(q[-1:], np.vstack([k_pre, k]), n_heads)
-            kept = select_kept_tokens(w[:, :n_pre], keep)
-            k_pre, v_pre = k_pre[kept], v_pre[kept]
-        k, v = np.vstack([k_pre, k]), np.vstack([v_pre, v])
+            kept = select_kept_tokens(attention_weights(q[-1:], k, n_heads)[:, :n_pre], keep)
+            attended = np.concatenate([kept, np.arange(n_pre, len(k))])
+            k, v = k[attended], v[attended]
     attn = asymmetric_cross_attention(q, k, v, n_heads)
     r_attn = rows + matmul(attn, lw.wo)
     r_ffn = r_attn + gated_ffn(rms_norm(r_attn, lw.ffn_gain), lw.w_gate, lw.w_up, lw.w_down)
-    return r_attn, r_ffn, kept
+    return r_attn, r_ffn, kept, (k, v)
 
 
 def forward(
@@ -556,7 +556,8 @@ def _prefill(weights: Weights, schedule: PolicySchedule, text_emb: np.ndarray, *
                 vision_kv = (k_vis, v_vis) if chain is None else (k_vis[chain], v_vis[chain])
             else:
                 vision_kv = _vision_kv(v_rows, lw) if pol.mode in KV_MODES else None
-            t_attn, t_ffn, kept = _layer(t_rows, lw, cfg.n_heads, vision_kv, counts[l])
+            t_attn, t_ffn, kept, (k, v) = _layer(t_rows, lw, cfg.n_heads, vision_kv, counts[l])
+            del vision_kv  # k, v hold its kept rows: keep one copy alive
             if kept is not None:
                 chain = kept if chain is None else chain[kept]
                 v_rows = None if v_rows is None else v_rows[kept]
@@ -565,15 +566,15 @@ def _prefill(weights: Weights, schedule: PolicySchedule, text_emb: np.ndarray, *
             # layer plus the vision rows' own causal layer over the same KV.
             v_attn = v_ffn = v_rows
             if pol.mode is PolicyMode.BASELINE:
-                if kept is not None:
-                    vision_kv = (vision_kv[0][kept], vision_kv[1][kept])
-                v_attn, v_ffn, _ = _layer(v_rows, lw, cfg.n_heads, kv=vision_kv)
+                m = counts[l]
+                v_attn, v_ffn = _layer(v_rows, lw, cfg.n_heads, kv=(k[:m], v[:m]))[:2]
                 # The kernels credit the causal d * L * (L + 1) MACs, but the
                 # cost model charges the dense baseline 2 * d * L^2 (ROADMAP
                 # item 1, gap (a)): credit the masked d * L * (L - 1) here, so
                 # the engine counts what the model charges.
                 total = counts[l] + len(t_rows)
                 add_macs(cfg.d_model * total * (total - 1))
+            del k, v  # before the next layer joins its own
 
             if trace is not None:
                 trace.append(

@@ -117,6 +117,12 @@ class TestExperimentConfig:
         assert (mc.n_layers, mc.d_model) == (4, 16)
         mc = ExperimentConfig(mode="bench").model_config()
         assert (mc.n_layers, mc.d_model, mc.d_ffn) == (32, 256, 688)
+        # the library and the CLI read one per-mode table, layout included
+        diag = ExperimentConfig(mode="diagnose")
+        assert diag.layout() == TokenLayout(16, 2, 4) and diag.model_config().max_seq == 64
+        assert ExperimentConfig(mode="diagnose", n_vision=9).layout() == TokenLayout(9, 2, 4)
+        for mode in ("cost", "equivalence", "bench"):
+            assert ExperimentConfig(mode=mode).layout() == TokenLayout(576, 35, 20)
 
     def test_schedule_names(self):
         cfg = ExperimentConfig(mode="diagnose")
@@ -518,6 +524,7 @@ class TestCliPlumbing:
         assert main(["presets"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "llava7b" in out and "vica13b" in out
+        assert "sparse:<layer>,<layer>,..." in out
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -552,6 +559,7 @@ class TestCliPlumbing:
         ["diagnose", "--schedule", "sparse:x"],
         # parses, but the sweep's referee takes no drop events
         ["diagnose", "--schedule", "baseline+pdrop"],
+        ["diagnose", "--schedule", "freezevis"],
     ])
     def test_bad_schedule_creates_no_out_dir(self, tmp_path, argv):
         out = tmp_path / "out"

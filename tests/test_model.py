@@ -10,6 +10,7 @@ import vica.model as model_module
 from vica.attention import (
     TokenLayout,
     attention_weights,
+    bottom_right_mask,
     build_cross_mask,
 )
 from vica.model import (
@@ -31,6 +32,7 @@ from vica.model import (
     precompute_visual_kv,
     schedule_preset,
     schedule_to_disabled_paths,
+    _baseline_layer,
     _embed_text,
 )
 from vica.numerics import MacCounter, ShapeError, matmul, rms_norm, row_softmax
@@ -324,6 +326,38 @@ class TestMaskedOracleEquivalence:
             schedule_to_disabled_paths(
                 PolicySchedule.baseline(2).with_drops({1: 0.5})
             )
+
+    DROP_SCHEDULES = {
+        "baseline+pdrop": PolicySchedule.baseline(8).with_drops(pdrop_baseline_events(8)),
+        "freeze+drops": PolicySchedule.freeze_vis(8).with_drops({0: 0.75, 4: 0.5}),
+        "sparse+drops": PolicySchedule.sparse_cross(8, {0, 2, 3, 6}).with_drops(
+            {0: 0.75, 3: 0.5, 6: 0.5}),
+    }
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", DROP_SCHEDULES)
+    def test_drop_schedule_layers_match_joint_layer(self, name, seed):
+        # the referee takes no drop events, so each traced engine layer is
+        # rerun as the referee's joint layer from the rows entering it
+        # (after the layer's cut): text rows blind to vision at TEXT_ONLY
+        # layers, vision writes off at every layer but BASELINE
+        cfg = ModelConfig(n_layers=8, n_heads=4, d_model=32, d_ffn=64, vocab=13, max_seq=64)
+        w = init_model(cfg, seed=seed)
+        ve, te = toy_inputs(40 + seed, n=16, t=6, d=32)
+        sched = self.DROP_SCHEDULES[name]
+        trace = forward(w, ve, te, sched, record_trace=True).trace
+        assert any(e.kept is not None for e in trace)
+        for e, pol in zip(trace, sched.layers):
+            n, rows = e.n_vision_out, len(e.h_pre_attn)
+            allowed = bottom_right_mask(rows, rows)
+            if pol.mode is PolicyMode.TEXT_ONLY:
+                allowed[n:, :n] = False
+            writes = pol.mode is PolicyMode.BASELINE
+            h_attn, h_ffn = _baseline_layer(e.h_pre_attn, w.layers[e.layer], allowed,
+                                            cfg.n_heads, n, vis_attn_write=writes,
+                                            vis_ffn_write=writes)
+            assert np.abs(h_attn - e.h_post_attn).max() <= 1e-12
+            assert np.abs(h_ffn - e.h_post_ffn).max() <= 1e-12
 
 
 class TestDecoupledKv:
