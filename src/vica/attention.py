@@ -13,19 +13,18 @@ Two evaluation paths are provided. :func:`masked_attention_oracle` takes an
 explicit boolean permission matrix (query rows by keys), forms the full
 score matrix and is the reference for everything else.
 :func:`asymmetric_cross_attention` is the causal kernel of the engine and
-the fast path: it builds no mask, works a group of heads and a block of
-query rows at a time (the group sized so its score tile stays
-cache-sized), forms no key tile past a block's last permitted key and
-applies the bottom-right rule to the rest in place. When a bound on every
-score proves ``exp`` cannot overflow, it exponentiates the scores
+the fast path: it builds no mask, works a block of query rows and a
+group of heads at a time (each block sizing its groups so their score
+tiles stay cache-sized), forms no key tile past a block's last permitted
+key and applies the bottom-right rule to the rest in place. When a bound
+on every score proves ``exp`` cannot overflow, it exponentiates the scores
 unshifted and zeroes the masked ones; otherwise it masks them to ``-inf``
-and shifts each row by its max first. Every engine layer runs on it; a
-joint ``BASELINE`` layer as two calls of the one layer body: the text rows
-over all keys, then the vision rows as their own causal block (no prefix
-keys). :func:`attention_weights` gives unmasked head-averaged attention
-weights, all heads in one batched product and one softmax; the layer body
-scores vision-token drops with it. The oracle loops over heads, so it
-shares no head layout with the paths it checks.
+and shifts each row by its max first. Every engine layer is one call of
+it; a joint ``BASELINE`` layer is one causal block over the [vision;
+text] rows with no prefix keys. :func:`attention_weights` gives unmasked
+head-averaged attention weights, all heads in one batched product and
+one softmax; the layer body scores vision-token drops with it. The oracle
+loops over heads, so it shares no head layout with the paths it checks.
 """
 
 from __future__ import annotations
@@ -42,10 +41,10 @@ from .numerics import ShapeError, add_macs, matmul, row_softmax
 # overhead outweighs the columns it skips. Fixed, not configurable.
 _ROW_BLOCK = 64
 
-# Score elements per head group in the causal kernel (1 MiB of float64): the
-# heads split evenly into groups of at most _TILE // (block rows * kv_len),
-# so small tiles share one NumPy call across many heads and a large one stays
-# in cache. Twice this size measured slower in a full prefill: the larger
+# Score elements per head group in the causal kernel (1 MiB of float64): each
+# row block splits the heads evenly into groups of at most _TILE // (its rows
+# * its keys), so small tiles share one NumPy call across many heads and a
+# large one stays in cache. Twice this size measured slower in a full prefill: the larger
 # buffers were page-faulted afresh on every call. Fixed, not configurable.
 _TILE = 1 << 17
 
@@ -207,18 +206,15 @@ def asymmetric_cross_attention(
     With ``t`` queries and ``kv_len`` keys, the first ``n = kv_len - t`` keys
     are the vision prefix. Query row ``i`` sees every vision key and the text
     keys ``0..i``. With ``n = 0`` this is plain causal self-attention, which
-    is how the engine runs the vision rows of a joint layer.
+    is how the engine runs the [vision; text] rows of a joint layer.
 
-    The query rows split into ``max(1, t // _ROW_BLOCK)`` even blocks, and
-    the heads split evenly into groups of at most ``_TILE // (block rows *
-    kv_len)`` heads (at least one), so one group's score tile stays
-    cache-sized.
-    q, k, v and the output are viewed head-major, and one loop runs over
-    (head group, row block): the group's block ``[r0, r1)`` forms scores
-    only against keys ``0 .. n + r1 - 1``, its last permitted one, so the
-    causally masked key tiles past it are never formed, masked or
-    exponentiated. Inside the block only the diagonal text tile's future
-    keys are masked.
+    The query rows split into ``max(1, t // _ROW_BLOCK)`` even blocks; the
+    block ``[r0, r1)`` forms scores only against keys ``0 .. n + r1 - 1``,
+    its last permitted one, and masks only its diagonal tile's future keys.
+    Each block splits the heads evenly into groups of at most ``_TILE //
+    (rows * (n + r1))`` (at least one), so a group's score tile stays
+    cache-sized and the early blocks of a causal call run many heads per
+    NumPy call. q, k, v and the output are viewed head-major, never copied.
 
     Softmax is invariant to a per-row shift; the max shift only keeps
     ``exp`` in range. Before the loop the kernel bounds every score it will
@@ -231,10 +227,11 @@ def asymmetric_cross_attention(
     kv_len``). Otherwise, NaN or inf ``B`` included, the masked entries are
     set to ``-inf`` and each row is shifted by its max before ``exp``, so
     NaN inputs propagate as the referee's do. ``1 / sqrt(d_head)`` is
-    folded into the queries once, and the row sums normalise the
-    ``(rows, d_head)`` value product rather than the ``(rows, keys)``
-    weights. Every row sees at least its own key, so no row is empty. The
-    score, max/sum and value-mix buffers are allocated once per call.
+    folded into the queries once. The row sums are the weights' product
+    with a ones column, and the ``(rows, d_head)`` value product is divided
+    by them straight into the output view. Every row sees at least its own
+    key, so no row is empty. The score, max/sum and value-mix buffers, the
+    ones column and the diagonal mask are allocated once per call.
 
     Matches :func:`masked_attention_oracle` under :func:`build_cross_mask`.
     Credits the causal MAC count ``2 * d * (t * n + t * (t + 1) / 2)``.
@@ -261,11 +258,12 @@ def asymmetric_cross_attention(
     v_h, o_h = _head_major(v_all, n_heads), _head_major(out, n_heads)
     n_blocks = max(1, t // _ROW_BLOCK)
     max_rows = -(-t // n_blocks)
-    n_groups = -(-n_heads // max(1, _TILE // (max_rows * kv_len)))
-    max_tile = -(-n_heads // n_groups) * max_rows
-    score_buf = np.empty(max_tile * kv_len, dtype=np.result_type(q_h, k_t))
-    reduce_buf = np.empty(max_tile, dtype=score_buf.dtype)
-    mix_buf = np.empty(max_tile * d_head, dtype=np.result_type(score_buf, v_h))
+    # a group's tile is one head's block or at most _TILE elements
+    max_tile = max(max_rows * kv_len, min(n_heads * max_rows * kv_len, _TILE))
+    score_buf = np.empty(max_tile, dtype=np.result_type(q_h, k_t))
+    reduce_buf = np.empty(n_heads * max_rows, dtype=score_buf.dtype)
+    mix_buf = np.empty(n_heads * max_rows * d_head, dtype=np.result_type(score_buf, v_h))
+    ones = np.ones((kv_len, 1), dtype=score_buf.dtype)
     # text key j > query row i, for the largest diagonal tile of any block
     future = ~np.tri(max_rows + 1, dtype=bool)
     # no score, masked or not, exceeds the bound in size; NaN or inf fails it
@@ -273,12 +271,13 @@ def asymmetric_cross_attention(
     shift = not (bound <= math.log(np.finfo(score_buf.dtype).max) / 4)
     fill = -np.inf if shift else 0.0
 
-    for j in range(n_groups):
-        h0, h1 = j * n_heads // n_groups, (j + 1) * n_heads // n_groups
-        g = h1 - h0
-        for b in range(n_blocks):
-            r0, r1 = b * t // n_blocks, (b + 1) * t // n_blocks
-            rows, keys = r1 - r0, n + r1
+    for b in range(n_blocks):
+        r0, r1 = b * t // n_blocks, (b + 1) * t // n_blocks
+        rows, keys = r1 - r0, n + r1
+        n_groups = -(-n_heads // max(1, _TILE // (rows * keys)))
+        for j in range(n_groups):
+            h0, h1 = j * n_heads // n_groups, (j + 1) * n_heads // n_groups
+            g = h1 - h0
             scores, red = _tile(score_buf, g, rows, keys), _tile(reduce_buf, g, rows, 1)
             np.matmul(q_h[h0:h1, r0:r1], k_t[h0:h1, :, :keys], out=scores)
             if not shift:
@@ -288,7 +287,7 @@ def asymmetric_cross_attention(
                 scores -= np.max(scores, axis=2, keepdims=True, out=red)
                 np.exp(scores, out=scores)  # masked entries: exp(-inf) == 0.0
             mixed = np.matmul(scores, v_h[h0:h1, :keys], out=_tile(mix_buf, g, rows, d_head))
-            mixed /= np.sum(scores, axis=2, keepdims=True, out=red)
-            o_h[h0:h1, r0:r1] = mixed
+            np.matmul(scores, ones[:keys], out=red)
+            np.divide(mixed, red, out=o_h[h0:h1, r0:r1])
     add_macs(2 * d * (t * n + t * (t + 1) // 2))
     return out

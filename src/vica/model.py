@@ -14,16 +14,18 @@ layer carries a policy mode:
                   causal text block and does not project vision KV at all.
 
 The engine and the fast path run one layer loop, :func:`_prefill`, and
-every layer one layer body, :func:`_layer`: a block of rows goes through
-causal attention (the kernel
+every layer one call of one layer body, :func:`_layer`: a block of rows
+goes through causal attention (the kernel
 :func:`~vica.attention.asymmetric_cross_attention`) and the FFN, reading
-read-only prefix keys/values if it is given any. The text rows, system and
-question alike, go first in every layer, as such a block over the vision
-keys/values of every mode of ``KV_MODES``; a drop event is scored inside
-that call, from the last text row's attention. No vision query ever sees a
-text key, so a joint ``BASELINE`` layer factorises exactly: the surviving
-vision rows then run the same body as their own causal block over those
-keys/values. The loop's vision source is either the vision rows, which
+read-only prefix keys/values if it is given any. At a ``FREEZE_VIS`` or
+``VICA_CROSS`` layer the block is the text rows, system and question
+alike, over the vision keys/values as a prefix; at a ``TEXT_ONLY`` layer
+it is the text rows alone. No vision query ever sees a text key, so a
+joint ``BASELINE`` layer is one causal block over the [vision; text] rows
+with no prefix. A drop event is scored inside the call, from the last
+text row's attention over the keys of every entering vision row and the
+text keys, and only the kept vision rows get queries. The loop's vision
+source at a frozen layer is either the vision rows, which
 :func:`_vision_kv` projects at each layer, or the keys/values
 :func:`precompute_visual_kv` projected from them ahead of any text,
 gathered by the kept rows after a cut. Frozen rows never change, so both
@@ -320,8 +322,8 @@ def init_model(config: ModelConfig, seed: int) -> Weights:
 
 @dataclass
 class LayerTrace:
-    # The referee's entries alias its loop's arrays (``h_post_ffn`` of layer
-    # l is ``h_pre_attn`` of layer l + 1): read them, never write them.
+    # The referee's entries and the engine's BASELINE ones alias the loop's
+    # arrays (``h_post_ffn`` of one layer may be ``h_pre_attn`` of the next).
     layer: int
     mode: PolicyMode
     n_vision_in: int
@@ -471,37 +473,41 @@ def _layer(
     rows: np.ndarray,
     lw: LayerWeights,
     n_heads: int,
+    keep: int,
     prefix_kv: tuple[np.ndarray, np.ndarray] | None = None,
-    keep: int | None = None,
-    kv: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    n_vis: int = 0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """One causal layer over ``rows``, reading read-only prefix KV if given.
 
     The rows attend to ``[prefix keys; own keys]`` under the bottom-right
-    rule. ``kv`` holds the rows' own keys and values if the caller has
-    projected them already. A ``keep`` below the prefix length cuts the
-    prefix first to the ``keep`` rows the last row attends to most,
-    head-averaged over ``[prefix keys; own keys]`` (PyramidDrop's rule).
-    Returns (post_attn, post_ffn, kept, (k, v)): ``kept`` holds the sorted
-    indices of the surviving prefix rows, or None when nothing was cut, and
-    ``k``, ``v`` the keys and values the rows attended over, the surviving
-    prefix rows first.
+    rule. The vision keys are the prefix, or else the first ``n_vis`` rows'
+    own keys (a joint ``BASELINE`` layer). A ``keep`` below their count cuts
+    them first to the ``keep`` rows the last row attends to most,
+    head-averaged over all keys (PyramidDrop's rule); only kept vision rows
+    get queries. Returns (rows, post_attn, post_ffn, kept): the rows that
+    stayed, and ``kept``, the sorted indices of the surviving vision keys,
+    or None when nothing was cut.
     """
     x = rms_norm(rows, lw.attn_gain)
-    q = matmul(x, lw.wq)
-    k, v = kv if kv is not None else (matmul(x, lw.wk), matmul(x, lw.wv))
-    kept = None
+    k, v = matmul(x, lw.wk), matmul(x, lw.wv)
     if prefix_kv is not None:
-        n_pre = len(prefix_kv[0])
         k, v = np.vstack([prefix_kv[0], k]), np.vstack([prefix_kv[1], v])
-        if keep is not None and keep < n_pre:
-            kept = select_kept_tokens(attention_weights(q[-1:], k, n_heads)[:, :n_pre], keep)
-            attended = np.concatenate([kept, np.arange(n_pre, len(k))])
-            k, v = k[attended], v[attended]
+    n_pre = len(k) - len(rows) + n_vis
+    kept = None
+    if keep >= n_pre:
+        q = matmul(x, lw.wq)
+    else:
+        q = matmul(x[n_vis:], lw.wq)
+        kept = select_kept_tokens(attention_weights(q[-1:], k, n_heads)[:, :n_pre], keep)
+        attended = np.concatenate([kept, np.arange(n_pre, len(k))])
+        k, v = k[attended], v[attended]
+        if n_vis:  # no prefix: each key is its own row's
+            rows, q = rows[attended], np.vstack([matmul(x[kept], lw.wq), q])
     attn = asymmetric_cross_attention(q, k, v, n_heads)
+    del k, v  # before the FFN allocates its own buffers
     r_attn = rows + matmul(attn, lw.wo)
     r_ffn = r_attn + gated_ffn(rms_norm(r_attn, lw.ffn_gain), lw.w_gate, lw.w_up, lw.w_down)
-    return r_attn, r_ffn, kept, (k, v)
+    return rows, r_attn, r_ffn, kept
 
 
 def forward(
@@ -541,52 +547,46 @@ def _prefill(weights: Weights, schedule: PolicySchedule, text_emb: np.ndarray, *
     The vision source is the rows ``v_rows`` or a precomputed ``kv``, whose
     entries are read as they are before the first cut and gathered by the
     kept indices composed over every cut after it. ``BASELINE`` layers and
-    a ``trace`` need ``v_rows``.
+    a ``trace`` need ``v_rows``. A ``BASELINE`` layer runs the [vision;
+    text] rows as one block and hands its output rows on as they are.
     """
     cfg = weights.config
     n0 = kv.n_vision if v_rows is None else len(v_rows)
     counts = vision_counts(schedule, n0)
     t_rows = _embed_text(weights, np.asarray(text_emb), n0)
-    chain = None  # kept indices into the input vision rows; None before a cut
+    chain = None  # the fast path's kept indices into its KV; None before a cut
+    joint = None  # the [vision; text] rows entering the layer, once built
     with count_macs(counter):
         for l, pol in enumerate(schedule.layers):
-            lw = weights.layers[l]
-            if pol.mode in KV_MODES and v_rows is None:
-                k_vis, v_vis = kv.entries[l]
-                vision_kv = (k_vis, v_vis) if chain is None else (k_vis[chain], v_vis[chain])
-            else:
-                vision_kv = _vision_kv(v_rows, lw) if pol.mode in KV_MODES else None
-            t_attn, t_ffn, kept, (k, v) = _layer(t_rows, lw, cfg.n_heads, vision_kv, counts[l])
-            del vision_kv  # k, v hold its kept rows: keep one copy alive
-            if kept is not None:
-                chain = kept if chain is None else chain[kept]
-                v_rows = None if v_rows is None else v_rows[kept]
-
-            # No vision query sees a text key, so a joint layer is the text
-            # layer plus the vision rows' own causal layer over the same KV.
-            v_attn = v_ffn = v_rows
+            lw, m = weights.layers[l], counts[l]
             if pol.mode is PolicyMode.BASELINE:
-                m = counts[l]
-                v_attn, v_ffn = _layer(v_rows, lw, cfg.n_heads, kv=(k[:m], v[:m]))[:2]
-                # The kernels credit the causal d * L * (L + 1) MACs, but the
-                # cost model charges the dense baseline 2 * d * L^2 (ROADMAP
-                # item 1, gap (a)): credit the masked d * L * (L - 1) here, so
-                # the engine counts what the model charges.
-                total = counts[l] + len(t_rows)
-                add_macs(cfg.d_model * total * (total - 1))
-            del k, v  # before the next layer joins its own
-
+                # No vision query sees a text key, so the joint rows are one
+                # causal block with no prefix.
+                h = np.vstack([v_rows, t_rows]) if joint is None else joint
+                h, h_attn, joint, kept = _layer(h, lw, cfg.n_heads, m, n_vis=len(v_rows))
+                # The kernel credits the causal d * L * (L + 1) MACs; credit
+                # the masked d * L * (L - 1) here, so the engine counts the
+                # dense 2 * d * L^2 the cost model charges.
+                add_macs(cfg.d_model * len(h) * (len(h) - 1))
+                v_rows, t_rows = joint[:m], joint[m:]
+            else:
+                if pol.mode in KV_MODES and v_rows is None:
+                    k_vis, v_vis = kv.entries[l]
+                    vision_kv = (k_vis, v_vis) if chain is None else (k_vis[chain], v_vis[chain])
+                else:
+                    vision_kv = _vision_kv(v_rows, lw) if pol.mode in KV_MODES else None
+                _, t_attn, t_ffn, kept = _layer(t_rows, lw, cfg.n_heads, m, vision_kv)
+                del vision_kv  # before the next layer projects its own
+                if kept is not None:
+                    chain = kept if chain is None else chain[kept]
+                    v_rows = None if v_rows is None else v_rows[kept]
+                joint = None
+                if trace is not None:
+                    h, h_attn, joint = (np.vstack([v_rows, r]) for r in (t_rows, t_attn, t_ffn))
+                t_rows = t_ffn
             if trace is not None:
-                trace.append(
-                    LayerTrace(
-                        layer=l, mode=pol.mode, n_vision_in=counts[l - 1] if l else n0,
-                        n_vision_out=counts[l], kept=kept,
-                        h_pre_attn=np.vstack([v_rows, t_rows]),
-                        h_post_attn=np.vstack([v_attn, t_attn]),
-                        h_post_ffn=np.vstack([v_ffn, t_ffn]),
-                    )
-                )
-            v_rows, t_rows = v_ffn, t_ffn
+                trace.append(LayerTrace(l, pol.mode, counts[l - 1] if l else n0, m, kept,
+                                        h, h_attn, joint))
 
         logits = matmul(rms_norm(t_rows, weights.out_gain), weights.w_out)
     return ForwardResult(v_rows, t_rows, logits, trace)

@@ -13,7 +13,8 @@ matrix, unmasked). The engine's causal kernel
 (:func:`~vica.attention.asymmetric_cross_attention`) does not call it: it
 blocks its query rows, runs a group of heads per block in reused buffers and
 never forms the masked key tiles at all. :func:`silu` and :func:`rms_norm`
-each allocate their result and no other full-size temporary.
+each allocate their result and no other full-size temporary;
+:func:`gated_ffn` holds two ``(rows, d_ffn)`` arrays at a time.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def gated_ffn(
     w_up: np.ndarray,
     w_down: np.ndarray,
 ) -> np.ndarray:
-    """Gated feed-forward block: (silu(h W_gate) * (h W_up)) W_down."""
+    """Gated FFN (silu(h W_gate) * (h W_up)) W_down; the gate is scaled in place."""
     w_gate = np.asarray(w_gate)
     w_up = np.asarray(w_up)
     w_down = np.asarray(w_down)
@@ -174,5 +175,5 @@ def gated_ffn(
             f"down projection {w_down.shape} does not invert {w_gate.shape}"
         )
     gate = silu(matmul(h, w_gate))
-    up = matmul(h, w_up)
-    return matmul(gate * up, w_down)
+    gate *= matmul(h, w_up)
+    return matmul(gate, w_down)

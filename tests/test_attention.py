@@ -62,9 +62,12 @@ GRID_CASES += [(5, 200)]
 
 
 def _force_heads_per_group(monkeypatch, n, t, per_group):
-    """Shrink the kernel's score tile to ``per_group`` heads of the largest block."""
-    max_rows = -(-t // max(1, t // _ROW_BLOCK))
-    monkeypatch.setattr(attention, "_TILE", per_group * max(1, max_rows) * (n + t))
+    """Shrink the kernel's score tile so the last row block, whose tile is the
+    largest, runs ``per_group`` heads per group. Each block sizes its own
+    groups, so an earlier block, with fewer keys, runs at least as many."""
+    n_blocks = max(1, t // _ROW_BLOCK)
+    rows = t - (n_blocks - 1) * t // n_blocks
+    monkeypatch.setattr(attention, "_TILE", per_group * max(1, rows) * (n + t))
 
 
 def _score_bound(q, k, n_heads):
@@ -371,13 +374,14 @@ class TestAsymmetricCrossAttention:
         np.testing.assert_allclose(fast, ref, atol=1e-12)
 
     def test_uneven_head_groups_match_oracle(self, monkeypatch):
-        # 5 heads in 3 groups (1 + 2 + 2) on every grid case
+        # 5 heads in 3 groups (1 + 2 + 2) in the last row block of every grid
+        # case; the earlier blocks of t >= 128 run 3, 2 (2 + 3) or 1 group
         rng = np.random.default_rng(8)
         _check_grid(rng, d=10, n_heads=5, dtype=np.float64, atol=1e-12,
                     monkeypatch=monkeypatch, heads_per_group=2)
 
     def test_uneven_head_groups_float32(self, monkeypatch):
-        # 5 heads in 2 groups (2 + 3), two row blocks
+        # two row blocks: 5 heads in 2 groups (2 + 3) in the second, 1 in the first
         rng = np.random.default_rng(9)
         n, t, n_heads = 7, 129, 5
         _force_heads_per_group(monkeypatch, n, t, 3)
@@ -393,7 +397,7 @@ class TestAsymmetricCrossAttention:
             atol=1e-5,
         )
 
-    @pytest.mark.parametrize("n, t", [(576, 55), (0, 200), (7, 129)])
+    @pytest.mark.parametrize("n, t", [(576, 55), (0, 631), (0, 200), (7, 129)])
     def test_one_head_per_group_equals_default_grouping(self, monkeypatch, n, t):
         rng = np.random.default_rng(10)
         q = rng.standard_normal((t, 256))

@@ -9,6 +9,7 @@ import pytest
 import vica.model as model_module
 from vica.attention import (
     TokenLayout,
+    asymmetric_cross_attention,
     attention_weights,
     bottom_right_mask,
     build_cross_mask,
@@ -583,6 +584,34 @@ class TestDropScoring:
             assert (e32.kept is None) == (e64.kept is None)
             if e64.kept is not None:
                 np.testing.assert_array_equal(e32.kept, e64.kept)
+
+
+class TestKernelCalls:
+    """Each layer is one call of the causal kernel; a BASELINE layer's one
+    block is the [vision; text] rows it keeps, over their own keys."""
+
+    def kernel_shapes(self, monkeypatch, sched):
+        shapes = []
+
+        def spy(q, k, v, n_heads):
+            shapes.append((len(q), len(k)))
+            return asymmetric_cross_attention(q, k, v, n_heads)
+
+        monkeypatch.setattr(model_module, "asymmetric_cross_attention", spy)
+        cfg = ModelConfig(n_layers=sched.n_layers, n_heads=2, d_model=8, d_ffn=16,
+                          vocab=13, max_seq=64)
+        ve, te = toy_inputs(30, n=8, t=5)
+        res = forward(init_model(cfg, seed=3), ve, te, sched, record_trace=True)
+        return shapes, res.trace
+
+    def test_baseline_layer_is_one_joint_call(self, monkeypatch):
+        shapes, _ = self.kernel_shapes(monkeypatch, PolicySchedule.baseline(3))
+        assert shapes == [(8 + 5, 8 + 5)] * 3
+
+    def test_cut_baseline_layer_runs_its_kept_rows(self, monkeypatch):
+        shapes, trace = self.kernel_shapes(monkeypatch, mixed_schedule("BFBT", {1: 0.5, 2: 0.5}))
+        assert [e.n_vision_out for e in trace] == [8, 4, 2, 2]
+        assert shapes == [(8 + 5, 8 + 5), (5, 4 + 5), (2 + 5, 2 + 5), (5, 5)]
 
 
 class TestMacCounting:
