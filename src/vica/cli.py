@@ -1,9 +1,11 @@
 """Command-line entry point.
 
-Subcommands map onto the harness runners; flags override config-file
-values, which override per-mode defaults. Exit codes: 0 pass, 1
-verification failure, 2 configuration error, 3 internal error (an
-unexpected exception; its traceback goes to stderr).
+Subcommands map onto the harness runners. Each subcommand's flags are the
+keys its mode reads (``ExperimentConfig.MODE_DEFAULTS``) plus ``--out``
+and ``--config``; a config file may set the same keys and no others.
+Flags override config-file values, which override per-mode defaults. Exit
+codes: 0 pass, 1 verification failure, 2 configuration error, 3 internal
+error (an unexpected exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -39,23 +41,30 @@ RUNNERS = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="FILE", help="flat key=value config file")
-    p.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
-    p.add_argument("--seed", type=int, help="RNG seed")
-
-
-def _add_geometry(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--layers", dest="n_layers", type=int, help="transformer layers")
-    p.add_argument("--heads", dest="n_heads", type=int, help="attention heads")
-    p.add_argument("--d-model", dest="d_model", type=int, help="model width")
-    p.add_argument("--d-ffn", dest="d_ffn", type=int, help="FFN width")
-
-
-def _add_layout(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", dest="n_vision", type=int, help="vision tokens")
-    p.add_argument("--t-system", dest="t_system", type=int, help="system text tokens")
-    p.add_argument("--t-question", dest="t_question", type=int, help="question text tokens")
+# each config key's (flag, help, argparse keywords)
+FLAGS = {
+    "out_dir": ("--out", "output directory", {"metavar": "DIR"}),
+    "preset": ("--preset", "model geometry preset (llava3b/7b/13b)", {}),
+    "schedule": ("--schedule", "policy schedule name (see `vica presets`)", {}),
+    "n_layers": ("--layers", "transformer layers", {"type": int}),
+    "n_heads": ("--heads", "attention heads", {"type": int}),
+    "d_model": ("--d-model", "model width", {"type": int}),
+    "d_ffn": ("--d-ffn", "FFN width", {"type": int}),
+    "n_vision": ("--n", "vision tokens", {"type": int}),
+    "t_system": ("--t-system", "system text tokens", {"type": int}),
+    "t_question": ("--t-question", "question text tokens", {"type": int}),
+    "seed": ("--seed", "RNG seed", {"type": int}),
+    "batch": ("--batch", "seeded inputs per sweep", {"type": int}),
+    "paths": ("--paths", "comma-separated pathway kinds to sweep",
+              {"type": lambda s: _coerce("paths", s)}),
+    "reps": ("--reps", "timed repetitions", {"type": int}),
+    "warmup": ("--warmup", "untimed repetitions", {"type": int}),
+    "dtype": ("--dtype", "compute dtype", {"choices": ("float64", "float32")}),
+    "golden": ("--golden", "verify against the frozen reference numbers",
+               {"action": "store_true"}),
+    "self_test": ("--self-test", "corrupt one case to prove the check can fail",
+                  {"action": "store_true"}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,41 +74,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.set_defaults(command=None)
     sub = parser.add_subparsers(dest="command")
-
-    cost = sub.add_parser("cost", help="analytical FLOPs/KV report, optional golden check")
-    _add_common(cost)
-    _add_geometry(cost)
-    _add_layout(cost)
-    cost.add_argument("--preset", help="model geometry preset (llava3b/7b/13b)")
-    cost.add_argument("--schedule", help="policy schedule name")
-    cost.add_argument("--golden", action="store_true", default=argparse.SUPPRESS,
-                      help="verify against the frozen reference numbers")
-
-    diag = sub.add_parser("diagnose", help="layerwise ablation sweep on a seeded toy model")
-    _add_common(diag)
-    _add_geometry(diag)
-    _add_layout(diag)
-    diag.add_argument("--preset", help="model geometry preset")
-    diag.add_argument("--schedule", help="schedule context for the sweep")
-    diag.add_argument("--batch", type=int, help="seeded inputs per sweep")
-    diag.add_argument("--paths", type=lambda s: _coerce("paths", s),
-                      help="comma-separated pathway kinds to sweep")
-
-    equiv = sub.add_parser("equivalence", help="three-way path agreement over a seeded grid")
-    _add_common(equiv)
-    equiv.add_argument("--self-test", dest="self_test", action="store_true",
-                       default=argparse.SUPPRESS,
-                       help="corrupt one case to prove the check can fail")
-
-    bench = sub.add_parser("bench", help="CPU micro-benchmark, baseline vs sparse schedule")
-    _add_common(bench)
-    _add_geometry(bench)
-    _add_layout(bench)
-    bench.add_argument("--schedule", help="sparse schedule to benchmark")
-    bench.add_argument("--reps", type=int, help="timed repetitions")
-    bench.add_argument("--warmup", type=int, help="untimed repetitions")
-    bench.add_argument("--dtype", choices=("float64", "float32"), help="compute dtype")
-
+    for mode, help_text in (
+        ("cost", "analytical FLOPs/KV report, optional golden check"),
+        ("diagnose", "layerwise ablation sweep on a seeded toy model"),
+        ("equivalence", "three-way path agreement over a seeded grid"),
+        ("bench", "CPU micro-benchmark, baseline vs sparse schedule"),
+    ):
+        # an unset flag leaves no attribute, so it overrides nothing
+        p = sub.add_parser(mode, help=help_text, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", metavar="FILE", help="flat key=value config file")
+        for key in ("out_dir", *ExperimentConfig.MODE_DEFAULTS[mode][2]):
+            flag, key_help, kwargs = FLAGS[key]
+            p.add_argument(flag, dest=key, help=key_help, **kwargs)
     sub.add_parser("presets", help="list model and schedule presets")
     return parser
 
@@ -130,14 +116,8 @@ def main(argv: list[str] | None = None) -> int:
         return print_presets()
     try:
         config = getattr(args, "config", None)
-        values = parse_config(Path(config).read_text()) if config else {}
-        values.update(
-            {
-                k: v
-                for k, v in vars(args).items()
-                if k not in ("command", "config") and v is not None
-            }
-        )
+        values = parse_config(Path(config).read_text(), args.command) if config else {}
+        values.update((k, v) for k, v in vars(args).items() if k not in ("command", "config"))
         values["mode"] = args.command
         cfg = ExperimentConfig(**values)
         return RUNNERS[args.command](cfg)

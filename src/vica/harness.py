@@ -96,22 +96,36 @@ class ExperimentConfig:
     golden: bool = False
     self_test: bool = False
 
-    # per mode: the (n_layers, n_heads, d_model, d_ffn) used when none of
-    # them is set, and the (n_vision, t_system, t_question) filling each of
-    # those left unset; config files and flags win
+    GEOMETRY = ("n_layers", "n_heads", "d_model", "d_ffn")
+    LAYOUT = ("n_vision", "t_system", "t_question")
+    # per mode: the geometry used when none of GEOMETRY is set, the layout
+    # filling each LAYOUT key left unset, and the keys the mode reads. Those
+    # keys (and out_dir) are its flags, the keys its config files may set
+    # and what its manifest records; config files and flags win over the
+    # defaults, and a key the mode does not read must stay at its default
     MODE_DEFAULTS = {
-        "cost": (None, (576, 35, 20)),
-        "diagnose": ((4, 2, 16, 32), (16, 2, 4)),
-        "equivalence": (None, (576, 35, 20)),
-        "bench": ((32, 32, 256, 688), (576, 35, 20)),
+        "cost": (None, (576, 35, 20),
+                 ("preset", "schedule", *GEOMETRY, *LAYOUT, "golden")),
+        "diagnose": ((4, 2, 16, 32), (16, 2, 4),
+                     ("preset", "schedule", *GEOMETRY, *LAYOUT, "seed", "batch", "paths")),
+        "equivalence": (None, None, ("seed", "self_test")),
+        "bench": ((32, 32, 256, 688), (576, 35, 20),
+                  ("schedule", *GEOMETRY, *LAYOUT, "seed", "reps", "warmup", "dtype")),
     }
     MODES = tuple(MODE_DEFAULTS)
 
     def __post_init__(self):
         if self.mode not in self.MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {self.MODES}")
-        for f_name, default in zip(("n_vision", "t_system", "t_question"),
-                                   self.MODE_DEFAULTS[self.mode][1]):
+        _, layout, keys = self.MODE_DEFAULTS[self.mode]
+        unread = [f.name for f in fields(self) if f.name not in ("mode", "out_dir", *keys)
+                  and getattr(self, f.name) != f.default]
+        if unread:
+            raise ConfigError(f"{self.mode} mode reads no {', '.join(unread)}")
+        empty = [f.name for f in fields(self) if getattr(self, f.name) == ""]
+        if empty:
+            raise ConfigError(f"{', '.join(empty)} must not be empty")
+        for f_name, default in zip(self.LAYOUT, layout or ()):
             if getattr(self, f_name) is None:
                 setattr(self, f_name, default)
         if self.dtype not in ("float64", "float32"):
@@ -120,13 +134,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown preset {self.preset!r}; expected one of {sorted(MODEL_PRESETS)}"
             )
-        for f_name in ("n_vision", "t_system", "seed", "reps", "warmup"):
-            if getattr(self, f_name) < 0:
-                raise ConfigError(f"{f_name} must be non-negative")
-        if self.batch < 1:
-            raise ConfigError("batch must be at least 1")
-        if self.t_question < 1:
-            raise ConfigError("t_question must be at least 1")
+        # an unread key is at its default: check the read ones
+        for f_name, low in (("n_vision", 0), ("t_system", 0), ("t_question", 1), ("seed", 0),
+                            ("batch", 1), ("reps", 1), ("warmup", 0)):
+            if f_name in keys and getattr(self, f_name) < low:
+                raise ConfigError(f"{f_name} must be at least {low}")
         paths = set(self.paths)
         if not paths or len(paths) < len(self.paths) or not paths <= set(WRITE_PATH_KINDS):
             raise ConfigError(f"paths {list(self.paths)}: expected distinct names from "
@@ -135,7 +147,7 @@ class ExperimentConfig:
     def model_config(self) -> ModelConfig:
         if self.preset is not None:
             return MODEL_PRESETS[self.preset]
-        geometry = (self.n_layers, self.n_heads, self.d_model, self.d_ffn)
+        geometry = tuple(getattr(self, k) for k in self.GEOMETRY)
         if all(v is None for v in geometry):
             geometry = self.MODE_DEFAULTS[self.mode][0]
             if geometry is None:
@@ -195,8 +207,14 @@ def _coerce(key: str, raw: str):
     return raw
 
 
-def parse_config(text: str) -> dict:
-    """Parse the flat ``key = value`` grammar; ``#`` starts a comment."""
+def parse_config(text: str, mode: str | None = None) -> dict:
+    """Parse the flat ``key = value`` grammar; ``#`` starts a comment.
+
+    With ``mode``, only ``mode``, ``out_dir`` and the keys that mode reads
+    are allowed, and a ``mode`` line must name it.
+    """
+    allowed = _FIELD_TYPES if mode is None else ("mode", "out_dir",
+                                                 *ExperimentConfig.MODE_DEFAULTS[mode][2])
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -207,9 +225,13 @@ def parse_config(text: str) -> dict:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key not in allowed:
+            raise ConfigError(f"line {lineno}: {mode} mode reads no {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _coerce(key, raw)
+        if key == "mode" and mode not in (None, raw):
+            raise ConfigError(f"line {lineno}: mode {raw!r} in a config read for {mode}")
     return values
 
 
@@ -229,9 +251,9 @@ def dump_json(path: Path, obj) -> None:
 
 
 def write_manifest(out_dir: Path, cfg: ExperimentConfig) -> None:
-    config = asdict(cfg)
-    # output location is environment, not experiment identity
-    config.pop("out_dir")
+    # the mode and the keys it reads; output location is environment, not
+    # experiment identity
+    config = {k: getattr(cfg, k) for k in ("mode", *cfg.MODE_DEFAULTS[cfg.mode][2])}
     digest = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()
     ).hexdigest()
@@ -446,11 +468,11 @@ def format_cost_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _golden_request(cfg: ExperimentConfig, explicit_geometry: bool) -> ExperimentConfig:
+def _golden_request(cfg: ExperimentConfig) -> ExperimentConfig:
     """``cfg`` under the preset's ``VICA_SCHEDULE_FOR_PRESET`` schedule (none
     without a preset: each is checked under its own) at ``GOLDEN_LAYOUT``;
-    ConfigError if it names another schedule or layout."""
-    if cfg.preset is None and explicit_geometry:
+    ConfigError if it names a geometry, another schedule or layout."""
+    if cfg.preset is None and any(getattr(cfg, k) is not None for k in cfg.GEOMETRY):
         raise ConfigError("--golden needs a preset geometry")
     reference = VICA_SCHEDULE_FOR_PRESET.get(cfg.preset)
     if cfg.schedule not in (None, reference):
@@ -464,20 +486,16 @@ def _golden_request(cfg: ExperimentConfig, explicit_geometry: bool) -> Experimen
 
 
 def run_cost(cfg: ExperimentConfig) -> int:
-    explicit_geometry = all(
-        v is not None for v in (cfg.n_layers, cfg.n_heads, cfg.d_model, cfg.d_ffn)
-    )
     if cfg.golden:
-        cfg = _golden_request(cfg, explicit_geometry)
-    elif cfg.preset is None and not explicit_geometry:
-        raise ConfigError("cost mode needs --preset or explicit geometry")
-    # the reports parse the schedule: build them before the out dir exists
-    if cfg.preset is None and not explicit_geometry:
+        cfg = _golden_request(cfg)
+    # the reports parse the schedule and the geometry: build them before the
+    # out dir exists
+    if cfg.golden and cfg.preset is None:
         presets = sorted(GOLDEN_NUMBERS)
         cost = {p: build_cost_report(_golden_config(p)) for p in presets}
         text = "".join(f"== {p} ==\n{format_cost_text(cost[p])}\n" for p in presets)
     else:
-        presets = [cfg.preset] if cfg.preset else []
+        presets = [cfg.preset]
         cost = build_cost_report(cfg)
         text = format_cost_text(cost) + "\n"
     out_dir = resolve_out_dir(cfg)
@@ -693,8 +711,6 @@ def run_equivalence(cfg: ExperimentConfig) -> int:
 
 def run_bench(cfg: ExperimentConfig) -> int:
     cfg.require_desk_scale()
-    if cfg.reps < 1:
-        raise ConfigError("bench needs reps >= 1")
     mc = cfg.model_config()
     vica_name = cfg.schedule or ("vica7b" if mc.n_layers == 32 else None)
     if vica_name is None:

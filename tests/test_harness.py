@@ -121,7 +121,7 @@ class TestExperimentConfig:
         diag = ExperimentConfig(mode="diagnose")
         assert diag.layout() == TokenLayout(16, 2, 4) and diag.model_config().max_seq == 64
         assert ExperimentConfig(mode="diagnose", n_vision=9).layout() == TokenLayout(9, 2, 4)
-        for mode in ("cost", "equivalence", "bench"):
+        for mode in ("cost", "bench"):
             assert ExperimentConfig(mode=mode).layout() == TokenLayout(576, 35, 20)
 
     def test_schedule_names(self):
@@ -225,7 +225,7 @@ class TestCliCost:
 
     def test_config_file_with_cli_override(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("preset = llava3b\nschedule = vica3b\nseed = 4\n")
+        cfg.write_text("preset = llava3b\nschedule = vica3b\nt_system = 7\n")
         code = main(
             ["cost", "--config", str(cfg), "--preset", "llava13b",
              "--schedule", "vica13b", "--out", str(tmp_path)]
@@ -233,8 +233,9 @@ class TestCliCost:
         assert code == EXIT_OK
         report = json.loads((tmp_path / "cost.json").read_text())
         assert report["geometry"]["d_model"] == 5120  # CLI beat the file
+        assert report["layout"]["t_system"] == 7  # file-only key kept
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["seed"] == manifest["config"]["seed"] == 4  # file-only key kept
+        assert manifest["config"]["t_system"] == 7
 
     def test_byte_identical_rerun(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -511,6 +512,101 @@ class TestManifest:
         code = main(["cost", "--preset", "llava3b"])
         assert code == EXIT_OK
         assert (tmp_path / "env" / "cost.json").exists()
+
+
+def _exit_code(argv):
+    """main's exit code, or argparse's for a flag the subcommand lacks."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestModeKeys:
+    """Each mode's flags, config-file keys and manifest are the keys it reads."""
+
+    # a base that the mode otherwise accepts, at small scale
+    BASE = {
+        "cost": ["--preset", "llava3b"],
+        "diagnose": ["--batch", "1"],
+        "equivalence": [],
+        "bench": TestCliBench.SMOKE[1:],
+    }
+
+    @pytest.mark.parametrize("mode, line, flag", [
+        ("cost", "seed = 5", ["--seed", "5"]),
+        ("diagnose", "dtype = float32", ["--dtype", "float32"]),
+        ("diagnose", "golden = true", ["--golden"]),
+        ("equivalence", "n_vision = 8", ["--n", "8"]),
+        ("bench", "paths = t2v_read", ["--paths", "t2v_read"]),
+        ("bench", "preset = llava7b", ["--preset", "llava7b"]),
+    ])
+    def test_unread_key_exits_two_before_any_output(self, tmp_path, capsys, mode, line, flag):
+        cfg, out = tmp_path / "exp.cfg", tmp_path / "out"
+        cfg.write_text(line + "\n")
+        for argv in (["--config", str(cfg)], flag):
+            assert _exit_code([mode, *self.BASE[mode], *argv, "--out", str(out)]) == (
+                EXIT_CONFIG_ERROR
+            )
+            assert not out.exists()
+        file_err, flag_err = capsys.readouterr().err.split("usage:")
+        assert f"{mode} mode reads no {line.split()[0]!r}" in file_err
+        assert f"unrecognized arguments: {flag[0]}" in flag_err
+
+    def test_library_names_the_unread_keys(self):
+        with pytest.raises(ConfigError, match="equivalence mode reads no n_vision, reps"):
+            ExperimentConfig(mode="equivalence", n_vision=8, reps=9)
+        # a key at its default is no setting
+        ExperimentConfig(mode="cost", seed=0, dtype="float64")
+
+    def test_flags_are_the_table(self):
+        subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+        for mode, (_, _, keys) in ExperimentConfig.MODE_DEFAULTS.items():
+            dests = {a.dest for a in subparsers[mode]._actions} - {"help"}
+            assert dests == {"config", "out_dir", *keys}
+
+    def test_manifest_holds_the_read_keys(self, tmp_path, monkeypatch):
+        small = dict(harness.EQUIV_GRID, n=(0, 3), t=(1,), d=(8,), heads=(1,), layers=(1,))
+        monkeypatch.setattr(harness, "EQUIV_GRID", small)
+        assert main(["equivalence", "--seed", "3", "--out", str(tmp_path)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"] == {"mode": "equivalence", "seed": 3, "self_test": False}
+
+    def test_mode_line_names_the_subcommand(self, tmp_path):
+        cfg, out = tmp_path / "exp.cfg", tmp_path / "out"
+        cfg.write_text("mode = cost\n")
+        assert main(["equivalence", "--config", str(cfg), "--out", str(out)]) == (
+            EXIT_CONFIG_ERROR
+        )
+        assert not out.exists()
+        assert parse_config("mode = cost\npreset = llava3b", "cost") == {
+            "mode": "cost", "preset": "llava3b",
+        }
+        with pytest.raises(ConfigError, match="line 1: mode 'bench'"):
+            parse_config("mode = bench", "cost")
+
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "--config"],
+        ["cost", "--preset", "llava7b", "--config"],
+        ["diagnose", "--schedule", ""],
+        ["cost", "--preset", "llava7b", "--schedule", ""],
+    ])
+    def test_empty_schedule_exits_two(self, tmp_path, capsys, argv):
+        cfg, out = tmp_path / "exp.cfg", tmp_path / "out"
+        cfg.write_text("schedule =\n")
+        if argv[-1] == "--config":
+            argv = [*argv, str(cfg)]
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG_ERROR
+        assert "schedule must not be empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("golden", [[], ["--golden"]])
+    def test_partial_geometry_is_named(self, tmp_path, capsys, golden):
+        out = tmp_path / "out"
+        assert main(["cost", "--layers", "4", *golden, "--out", str(out)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert ("--golden needs a preset geometry" if golden else "partial geometry") in err
+        assert not out.exists()
 
 
 class TestCliPlumbing:
