@@ -26,12 +26,7 @@ from .harness import (
     run_diagnose,
     run_equivalence,
 )
-from .model import (
-    MODEL_PRESETS,
-    PDROP_EVENTS,
-    RETAINED_LAYERS,
-    ConfigError,
-)
+from .model import MODEL_PRESETS, SPARSE_PRESETS, UNIFORM_PRESETS, ConfigError
 
 RUNNERS = {
     "cost": run_cost,
@@ -83,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         # an unset flag leaves no attribute, so it overrides nothing
         p = sub.add_parser(mode, help=help_text, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", metavar="FILE", help="flat key=value config file")
-        for key in ("out_dir", *ExperimentConfig.MODE_DEFAULTS[mode][2]):
+        for key in ("out_dir", *ExperimentConfig.MODE_DEFAULTS[mode][-1]):
             flag, key_help, kwargs = FLAGS[key]
             p.add_argument(flag, dest=key, help=key_help, **kwargs)
     sub.add_parser("presets", help="list model and schedule presets")
@@ -96,13 +91,12 @@ def print_presets() -> int:
         print(f"  {name:<10} layers={mc.n_layers:<3} heads={mc.n_heads:<3} "
               f"d_model={mc.d_model:<5} d_ffn={mc.d_ffn}")
     print("\nschedule presets:")
-    print("  baseline / freeze / textonly   uniform policies at any depth")
+    print(f"  {' / '.join(UNIFORM_PRESETS):<30} uniform policies at any depth")
     print("  baseline+pdrop                 quarter-depth 0.5 drops")
     print("  sparse:<layer>,<layer>,...     cross-attention at the listed layers")
-    for name, (n_layers, retained) in RETAINED_LAYERS.items():
-        print(f"  {name:<10} {n_layers} layers, cross-attention at "
+    for name, (backbone, retained, events) in SPARSE_PRESETS.items():
+        print(f"  {name:<10} {MODEL_PRESETS[backbone].n_layers} layers, cross-attention at "
               f"{sorted(retained)}")
-        events = PDROP_EVENTS[name]
         print(f"  {name + '+pdrop':<10} adds drops {dict(sorted(events.items()))}")
     return 0
 

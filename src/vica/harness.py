@@ -42,6 +42,7 @@ from .diagnostics import layer_sweep
 from .model import (
     MAC_OPS,
     MODEL_PRESETS,
+    SPARSE_PRESETS,
     WRITE_PATH_KINDS,
     ConfigError,
     ModelConfig,
@@ -99,17 +100,18 @@ class ExperimentConfig:
     GEOMETRY = ("n_layers", "n_heads", "d_model", "d_ffn")
     LAYOUT = ("n_vision", "t_system", "t_question")
     # per mode: the geometry used when none of GEOMETRY is set, the layout
-    # filling each LAYOUT key left unset, and the keys the mode reads. Those
+    # filling each LAYOUT key left unset, the schedule filling an unset one
+    # (but under golden, the preset's), and the keys the mode reads. Those
     # keys (and out_dir) are its flags, the keys its config files may set
     # and what its manifest records; config files and flags win over the
     # defaults, and a key the mode does not read must stay at its default
     MODE_DEFAULTS = {
-        "cost": (None, (576, 35, 20),
+        "cost": (None, (576, 35, 20), "baseline",
                  ("preset", "schedule", *GEOMETRY, *LAYOUT, "golden")),
-        "diagnose": ((4, 2, 16, 32), (16, 2, 4),
-                     ("preset", "schedule", *GEOMETRY, *LAYOUT, "seed", "batch", "paths")),
-        "equivalence": (None, None, ("seed", "self_test")),
-        "bench": ((32, 32, 256, 688), (576, 35, 20),
+        "diagnose": ((4, 2, 16, 32), (16, 2, 4), "baseline",
+                     ("schedule", *GEOMETRY, *LAYOUT, "seed", "batch", "paths")),
+        "equivalence": (None, None, None, ("seed", "self_test")),
+        "bench": ((32, 32, 256, 688), (576, 35, 20), "vica7b",
                   ("schedule", *GEOMETRY, *LAYOUT, "seed", "reps", "warmup", "dtype")),
     }
     MODES = tuple(MODE_DEFAULTS)
@@ -117,7 +119,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in self.MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {self.MODES}")
-        _, layout, keys = self.MODE_DEFAULTS[self.mode]
+        _, layout, schedule, keys = self.MODE_DEFAULTS[self.mode]
         unread = [f.name for f in fields(self) if f.name not in ("mode", "out_dir", *keys)
                   and getattr(self, f.name) != f.default]
         if unread:
@@ -128,6 +130,8 @@ class ExperimentConfig:
         for f_name, default in zip(self.LAYOUT, layout or ()):
             if getattr(self, f_name) is None:
                 setattr(self, f_name, default)
+        if self.schedule is None and not self.golden:
+            self.schedule = schedule
         if self.dtype not in ("float64", "float32"):
             raise ConfigError(f"dtype must be float64 or float32, got {self.dtype!r}")
         if self.preset is not None and self.preset not in MODEL_PRESETS:
@@ -159,7 +163,7 @@ class ExperimentConfig:
         return ModelConfig(*geometry, max_seq=max(64, self.layout().total))
 
     def policy_schedule(self, n_layers: int) -> PolicySchedule:
-        return parse_schedule(self.schedule or "baseline", n_layers)
+        return parse_schedule(self.schedule, n_layers)
 
     def cost_inputs(self, mc: ModelConfig) -> CostInputs:
         return CostInputs(
@@ -214,7 +218,7 @@ def parse_config(text: str, mode: str | None = None) -> dict:
     are allowed, and a ``mode`` line must name it.
     """
     allowed = _FIELD_TYPES if mode is None else ("mode", "out_dir",
-                                                 *ExperimentConfig.MODE_DEFAULTS[mode][2])
+                                                 *ExperimentConfig.MODE_DEFAULTS[mode][-1])
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -253,7 +257,7 @@ def dump_json(path: Path, obj) -> None:
 def write_manifest(out_dir: Path, cfg: ExperimentConfig) -> None:
     # the mode and the keys it reads; output location is environment, not
     # experiment identity
-    config = {k: getattr(cfg, k) for k in ("mode", *cfg.MODE_DEFAULTS[cfg.mode][2])}
+    config = {k: getattr(cfg, k) for k in ("mode", *cfg.MODE_DEFAULTS[cfg.mode][-1])}
     digest = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()
     ).hexdigest()
@@ -262,7 +266,6 @@ def write_manifest(out_dir: Path, cfg: ExperimentConfig) -> None:
         {
             "config": config,
             "config_sha256": digest,
-            "seed": cfg.seed,
             "versions": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
@@ -314,18 +317,17 @@ GOLDEN_NUMBERS = {
 GOLDEN_PDROP_MEAN_TOKENS = 270.0
 GOLDEN_LAYOUT = TokenLayout(n_vision=576, t_system=35, t_question=20)
 
-VICA_SCHEDULE_FOR_PRESET = {
-    "llava3b": "vica3b",
-    "llava7b": "vica7b",
-    "llava13b": "vica13b",
-}
+
+def _reference_schedule(preset: str | None) -> str | None:
+    """The sparse preset whose row names the backbone ``preset``, if any."""
+    return next((name for name, row in SPARSE_PRESETS.items() if row[0] == preset), None)
 
 
 def _golden_config(preset: str, schedule: str | None = None) -> ExperimentConfig:
     """Cost config of ``preset`` at the reference layout, by default under its
-    ``VICA_SCHEDULE_FOR_PRESET`` schedule."""
+    reference schedule."""
     return ExperimentConfig(
-        preset=preset, schedule=schedule or VICA_SCHEDULE_FOR_PRESET[preset],
+        preset=preset, schedule=schedule or _reference_schedule(preset),
         **asdict(GOLDEN_LAYOUT),
     )
 
@@ -334,7 +336,7 @@ def check_golden(presets: list[str]) -> list[tuple[str, str, float, float, float
     """Compare the cost reports at the reference layout to the frozen table.
 
     Each preset's quantities come from :func:`build_cost_report` under the
-    preset's ``VICA_SCHEDULE_FOR_PRESET`` schedule. Returns rows of
+    preset's reference schedule. Returns rows of
     (preset, quantity, actual, expected, tol, ok).
     """
     rows = []
@@ -400,7 +402,7 @@ def build_cost_report(cfg: ExperimentConfig) -> dict:
             "t_question": ci.t_question,
         },
         "schedule": {
-            "name": cfg.schedule or "baseline",
+            "name": cfg.schedule,
             "modes": [p.mode.value for p in sched.layers],
             "retained_layers": sorted(sched.frozen_vision_layers()),
             "drop_events": {str(k): v for k, v in sorted(sched.drop_events().items())},
@@ -469,12 +471,12 @@ def format_cost_text(report: dict) -> str:
 
 
 def _golden_request(cfg: ExperimentConfig) -> ExperimentConfig:
-    """``cfg`` under the preset's ``VICA_SCHEDULE_FOR_PRESET`` schedule (none
-    without a preset: each is checked under its own) at ``GOLDEN_LAYOUT``;
-    ConfigError if it names a geometry, another schedule or layout."""
+    """``cfg`` under the preset's reference schedule (none without a preset:
+    each is checked under its own) at ``GOLDEN_LAYOUT``; ConfigError if it
+    names a geometry, another schedule or layout."""
     if cfg.preset is None and any(getattr(cfg, k) is not None for k in cfg.GEOMETRY):
         raise ConfigError("--golden needs a preset geometry")
-    reference = VICA_SCHEDULE_FOR_PRESET.get(cfg.preset)
+    reference = _reference_schedule(cfg.preset)
     if cfg.schedule not in (None, reference):
         raise ConfigError(
             f"--golden reads schedule {reference or 'vica<size> of each preset'}, "
@@ -573,7 +575,7 @@ def run_diagnose(cfg: ExperimentConfig) -> int:
                 "n_layers": mc.n_layers, "n_heads": mc.n_heads,
                 "d_model": mc.d_model, "d_ffn": mc.d_ffn,
             },
-            "schedule": cfg.schedule or "baseline",
+            "schedule": cfg.schedule,
             "batch": cfg.batch,
             "sweeps": {p: r.to_json_dict() for p, r in reports.items()},
         },
@@ -642,10 +644,9 @@ def run_equivalence_cases(cfg: ExperimentConfig):
                             idx += 1
                             ve = rng.standard_normal((n, d))
                             te = rng.standard_normal((t, d))
-                            sched = parse_schedule(
-                                f"sparse:0,{layers // 2}" if sched_name == "sparse"
-                                else sched_name,
-                                layers,
+                            sched = (
+                                PolicySchedule.sparse_cross(layers, {0, layers // 2})
+                                if sched_name == "sparse" else parse_schedule(sched_name, layers)
                             )
                             engine = forward(weights, ve, te, sched).logits
                             oracle = forward_baseline_masked_oracle(
@@ -712,13 +713,10 @@ def run_equivalence(cfg: ExperimentConfig) -> int:
 def run_bench(cfg: ExperimentConfig) -> int:
     cfg.require_desk_scale()
     mc = cfg.model_config()
-    vica_name = cfg.schedule or ("vica7b" if mc.n_layers == 32 else None)
-    if vica_name is None:
-        raise ConfigError("bench needs a sparse schedule; pass --schedule")
-    sched = replace(cfg, schedule=vica_name).policy_schedule(mc.n_layers)
+    sched = cfg.policy_schedule(mc.n_layers)
     if not sched.frozen_vision_layers():
         raise ConfigError(
-            f"bench schedule {vica_name!r} retains no cross-attention layers"
+            f"bench schedule {cfg.schedule!r} retains no cross-attention layers"
         )
     out_dir = resolve_out_dir(cfg)
     baseline = PolicySchedule.baseline(mc.n_layers)
@@ -781,7 +779,7 @@ def run_bench(cfg: ExperimentConfig) -> int:
             "n_vision": layout.n_vision, "t_text": layout.n_text,
             "dtype": cfg.dtype,
         },
-        "schedule": vica_name,
+        "schedule": cfg.schedule,
         "macs": {
             "baseline": base_counter.macs,
             "vica": vica_macs,

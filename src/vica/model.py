@@ -188,19 +188,20 @@ class PolicySchedule:
         )
 
 
-#: Retained-layer sets for the sparse cross-attention schedules, keyed by the
-#: backbone they were selected for.
-RETAINED_LAYERS: dict[str, tuple[int, set[int]]] = {
-    "vica3b": (32, {0, 1, 14, 15, 18, 19, 21, 22, 23}),
-    "vica7b": (32, {0, 1, 7, 8, 9, 10, 11, 14}),
-    "vica13b": (40, {0, 6, 8, 9, 10, 13, 14, 16}),
+#: The sparse cross-attention schedules, one row each: (backbone, retained
+#: layers, drops). The backbone is the MODEL_PRESETS key the schedule was
+#: picked for, whose depth it spans; ``+pdrop`` adds the keep-fraction drops.
+SPARSE_PRESETS: dict[str, tuple[str, set[int], dict[int, float]]] = {
+    "vica3b": ("llava3b", {0, 1, 14, 15, 18, 19, 21, 22, 23}, {1: 0.75, 14: 0.75, 18: 0.75}),
+    "vica7b": ("llava7b", {0, 1, 7, 8, 9, 10, 11, 14}, {1: 0.75, 7: 0.75, 10: 0.75}),
+    "vica13b": ("llava13b", {0, 6, 8, 9, 10, 13, 14, 16}, {6: 0.75, 9: 0.75, 13: 0.75}),
 }
 
-#: Keep-fraction drop events layered on top of the sparse schedules.
-PDROP_EVENTS: dict[str, dict[int, float]] = {
-    "vica3b": {1: 0.75, 14: 0.75, 18: 0.75},
-    "vica7b": {1: 0.75, 7: 0.75, 10: 0.75},
-    "vica13b": {6: 0.75, 9: 0.75, 13: 0.75},
+#: The schedules with one mode at every layer, for any depth.
+UNIFORM_PRESETS: dict[str, PolicyMode] = {
+    "baseline": PolicyMode.BASELINE,
+    "freeze": PolicyMode.FREEZE_VIS,
+    "textonly": PolicyMode.TEXT_ONLY,
 }
 
 
@@ -210,46 +211,42 @@ def pdrop_baseline_events(n_layers: int) -> dict[int, float]:
 
 
 def schedule_preset(name: str) -> PolicySchedule:
-    """Named schedule: ``vica{3b,7b,13b}``, optionally ``+pdrop``."""
-    base = name.removesuffix("+pdrop")
-    if base not in RETAINED_LAYERS:
+    """A :data:`SPARSE_PRESETS` name, optionally ``+pdrop``, at its backbone's depth."""
+    row = SPARSE_PRESETS.get(name.removesuffix("+pdrop"))
+    if row is None:
         raise ConfigError(f"unknown schedule preset {name!r}")
-    n_layers, retained = RETAINED_LAYERS[base]
-    schedule = PolicySchedule.sparse_cross(n_layers, retained)
-    if name.endswith("+pdrop"):
-        schedule = schedule.with_drops(PDROP_EVENTS[base])
-    return schedule
+    return parse_schedule(name, MODEL_PRESETS[row[0]].n_layers)
 
 
 def parse_schedule(name: str, n_layers: int) -> PolicySchedule:
     """Schedule by name for an ``n_layers``-deep model.
 
-    ``baseline``, ``baseline+pdrop``, ``freeze`` and ``textonly`` fit any
-    depth; ``sparse:<layer>,<layer>,...`` retains the listed layers; any
-    other name is a :func:`schedule_preset`, which must span ``n_layers``.
+    ``sparse:<layer>,<layer>,...`` retains the listed layers, distinct and
+    each written in ASCII digits. Any other name is a key of
+    :data:`UNIFORM_PRESETS`, which fits any depth, or of
+    :data:`SPARSE_PRESETS`, which must span ``n_layers``. A ``+pdrop``
+    suffix adds the row's drops to a sparse preset, or
+    :func:`pdrop_baseline_events` to ``baseline``; no other name takes it.
     """
-    if name == "baseline":
-        return PolicySchedule.baseline(n_layers)
-    if name == "baseline+pdrop":
-        return PolicySchedule.baseline(n_layers).with_drops(pdrop_baseline_events(n_layers))
-    if name == "freeze":
-        return PolicySchedule.freeze_vis(n_layers)
-    if name == "textonly":
-        return PolicySchedule.text_only(n_layers)
     if name.startswith("sparse:"):
-        try:
-            retained = {int(x) for x in name.removeprefix("sparse:").split(",")}
-        except ValueError:
-            raise ConfigError(
-                f"bad schedule {name!r}; expected sparse:<layer>,<layer>,..."
-            ) from None
+        items = name.removeprefix("sparse:").split(",")
+        retained = {int(x) for x in items if x.isascii() and x.isdigit()}
+        if len(retained) < len(items):
+            raise ConfigError(f"bad schedule {name!r}; expected sparse:<layer>,<layer>,...")
         return PolicySchedule.sparse_cross(n_layers, retained)
-    schedule = schedule_preset(name)
-    if schedule.n_layers != n_layers:
-        raise ConfigError(
-            f"schedule {name!r} spans {schedule.n_layers} layers, model has {n_layers}"
-        )
-    return schedule
+    base, pdrop = name.removesuffix("+pdrop"), name.endswith("+pdrop")
+    if base in UNIFORM_PRESETS and (base == "baseline" or not pdrop):
+        schedule = PolicySchedule.uniform(n_layers, UNIFORM_PRESETS[base])
+        events = pdrop_baseline_events(n_layers)
+    elif base in SPARSE_PRESETS:
+        backbone, retained, events = SPARSE_PRESETS[base]
+        depth = MODEL_PRESETS[backbone].n_layers
+        if depth != n_layers:
+            raise ConfigError(f"schedule {name!r} spans {depth} layers, model has {n_layers}")
+        schedule = PolicySchedule.sparse_cross(n_layers, retained)
+    else:
+        raise ConfigError(f"unknown schedule preset {name!r}")
+    return schedule.with_drops(events) if pdrop else schedule
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +345,7 @@ WRITE_PATH_KINDS = ("vis_attn_write", "vis_ffn_write", "t2v_read")
 def parse_path(spec: str, n_layers: int) -> tuple[str, int]:
     """Split 'kind@layer' and validate both halves."""
     kind, sep, layer_s = spec.partition("@")
-    if not sep or kind not in WRITE_PATH_KINDS or not layer_s.isdigit():
+    if not sep or kind not in WRITE_PATH_KINDS or not (layer_s.isascii() and layer_s.isdigit()):
         raise ConfigError(
             f"bad path {spec!r}; expected one of {WRITE_PATH_KINDS} + '@<layer>'"
         )

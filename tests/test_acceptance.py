@@ -23,7 +23,7 @@ from vica.diagnostics import cosine_change, kl_divergence, layer_sweep
 from vica.harness import ExperimentConfig, check_golden, run_equivalence_cases
 from vica.model import (
     MODEL_PRESETS,
-    RETAINED_LAYERS,
+    SPARSE_PRESETS,
     LayerPolicy,
     ModelConfig,
     PolicyMode,
@@ -219,12 +219,11 @@ def test_criterion_7_cost_model_cross_check():
 
     ok, worst = exact, 0.0
     layout = TokenLayout(576, 35, 20)
-    for name, mc in MODEL_PRESETS.items():
-        vica_name = "vica" + name.removeprefix("llava")
+    for vica_name, (backbone, retained, _) in SPARSE_PRESETS.items():
+        mc = MODEL_PRESETS[backbone]
         sched = schedule_preset(vica_name)
         ci = CostInputs(
-            mc.n_layers, mc.d_model, mc.d_ffn, n=576,
-            n_retained=len(RETAINED_LAYERS[vica_name][1]),
+            mc.n_layers, mc.d_model, mc.d_ffn, n=576, n_retained=len(retained),
         )
         pairs = (
             (PolicySchedule.baseline(mc.n_layers), "engine", total_flops(ci)),

@@ -23,9 +23,10 @@ from vica.costmodel import (
     vica_vision_flops,
     visual_update_flops,
 )
-from vica.harness import GOLDEN_LAYOUT, VICA_SCHEDULE_FOR_PRESET
+from vica.harness import GOLDEN_LAYOUT
 from vica.model import (
     MODEL_PRESETS,
+    SPARSE_PRESETS,
     ModelConfig,
     PolicySchedule,
     count_forward_macs,
@@ -117,7 +118,7 @@ def exact_quantities(name):
         }
     mc = MODEL_PRESETS[name]
     ci = CostInputs(mc.n_layers, mc.d_model, mc.d_ffn, n=576)
-    vica = VICA_SCHEDULE_FOR_PRESET[name]
+    vica = next(v for v, (backbone, *_) in SPARSE_PRESETS.items() if backbone == name)
     out = {"total": total_flops(ci), "text_only": text_only_flops(ci)}
     out.update({f"baseline_vision_{k}": v for k, v in baseline_vision_flops(ci).items()})
     for sched in (vica, vica + "+pdrop", "baseline+pdrop"):

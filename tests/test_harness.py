@@ -138,9 +138,18 @@ class TestExperimentConfig:
             ExperimentConfig(mode="diagnose", schedule="vica7b").policy_schedule(4)
 
     def test_desk_scale_guard(self):
-        cfg = ExperimentConfig(mode="diagnose", preset="llava7b")
+        cfg = ExperimentConfig(mode="diagnose", n_layers=4, n_heads=2, d_model=2048, d_ffn=32)
         with pytest.raises(ConfigError, match="desk-scale"):
             cfg.require_desk_scale()
+
+    def test_mode_default_schedules(self):
+        # filled like the layout, so the manifest records what was computed
+        assert [ExperimentConfig(mode=m).schedule for m in ExperimentConfig.MODES] == [
+            "baseline", "baseline", None, "vica7b",
+        ]
+        assert ExperimentConfig(mode="bench", schedule="sparse:0").schedule == "sparse:0"
+        # under golden the preset's schedule is the default, filled by the check
+        assert ExperimentConfig(mode="cost", golden=True).schedule is None
 
 
 class TestGoldenCheck:
@@ -280,9 +289,13 @@ class TestCliDiagnose:
         for f in sorted(a.iterdir()):
             assert f.read_bytes() == (b / f.name).read_bytes()
 
-    def test_desk_scale_guard_via_cli(self, tmp_path):
-        code = main(["diagnose", "--preset", "llava7b", "--out", str(tmp_path)])
+    def test_desk_scale_guard_via_cli(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["diagnose", "--layers", "4", "--heads", "2", "--d-model", "2048",
+                     "--d-ffn", "32", "--out", str(out)])
         assert code == EXIT_CONFIG_ERROR
+        assert "exceeds the desk-scale limit" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliEquivalence:
@@ -478,6 +491,14 @@ class TestCliBench:
         )
         assert code == EXIT_CONFIG_ERROR
 
+    def test_default_schedule_must_span_the_model(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["bench", "--layers", "8", "--heads", "8", "--d-model", "64",
+                     "--d-ffn", "172", "--out", str(out)])
+        assert code == EXIT_CONFIG_ERROR
+        assert "schedule 'vica7b' spans 32 layers, model has 8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_drop_schedule_priced_by_the_table(self, tmp_path):
         code = main(["bench", "--layers", "32", "--heads", "4", "--d-model", "64",
                      "--d-ffn", "172", "--n", "144", "--schedule", "vica7b+pdrop",
@@ -502,10 +523,27 @@ class TestManifest:
     def test_fields_and_stability(self, tmp_path):
         main(["cost", "--preset", "llava3b", "--out", str(tmp_path)])
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert set(manifest) == {"config", "config_sha256", "seed", "versions"}
+        # the seed is in the config block of the modes that read one
+        assert set(manifest) == {"config", "config_sha256", "versions"}
+        assert "seed" not in manifest["config"]
         assert set(manifest["versions"]) == {"python", "numpy", "vica"}
         assert len(manifest["config_sha256"]) == 64
         assert manifest["config"]["preset"] == "llava3b"
+
+    @pytest.mark.parametrize("argv, schedule", [
+        (["cost", "--preset", "llava7b"], "baseline"),
+        (["diagnose", "--batch", "1", "--paths", "t2v_read"], "baseline"),
+        (["bench", "--layers", "32", "--heads", "4", "--d-model", "32", "--d-ffn", "64",
+          "--n", "64", "--reps", "1", "--warmup", "0"], "vica7b"),
+    ])
+    def test_default_schedule_has_the_explicit_digest(self, tmp_path, argv, schedule):
+        # one computation, one digest: the default is recorded as the schedule it is
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main([*argv, "--out", str(a)]) == EXIT_OK
+        assert main([*argv, "--schedule", schedule, "--out", str(b)]) == EXIT_OK
+        manifests = [json.loads((d / "manifest.json").read_text()) for d in (a, b)]
+        assert manifests[0] == manifests[1]
+        assert manifests[0]["config"]["schedule"] == schedule
 
     def test_out_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VICA_OUT_DIR", str(tmp_path / "env"))
@@ -537,6 +575,7 @@ class TestModeKeys:
         ("cost", "seed = 5", ["--seed", "5"]),
         ("diagnose", "dtype = float32", ["--dtype", "float32"]),
         ("diagnose", "golden = true", ["--golden"]),
+        ("diagnose", "preset = llava7b", ["--preset", "llava7b"]),
         ("equivalence", "n_vision = 8", ["--n", "8"]),
         ("bench", "paths = t2v_read", ["--paths", "t2v_read"]),
         ("bench", "preset = llava7b", ["--preset", "llava7b"]),
@@ -561,7 +600,7 @@ class TestModeKeys:
 
     def test_flags_are_the_table(self):
         subparsers = cli.build_parser()._subparsers._group_actions[0].choices
-        for mode, (_, _, keys) in ExperimentConfig.MODE_DEFAULTS.items():
+        for mode, (*_, keys) in ExperimentConfig.MODE_DEFAULTS.items():
             dests = {a.dest for a in subparsers[mode]._actions} - {"help"}
             assert dests == {"config", "out_dir", *keys}
 

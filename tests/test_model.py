@@ -16,8 +16,8 @@ from vica.attention import (
 )
 from vica.model import (
     MODEL_PRESETS,
-    PDROP_EVENTS,
-    RETAINED_LAYERS,
+    SPARSE_PRESETS,
+    UNIFORM_PRESETS,
     ConfigError,
     LayerPolicy,
     ModelConfig,
@@ -29,6 +29,7 @@ from vica.model import (
     forward_vica_fast,
     init_model,
     parse_path,
+    parse_schedule,
     pdrop_baseline_events,
     precompute_visual_kv,
     schedule_preset,
@@ -75,30 +76,90 @@ class TestConfigAndPresets:
             ModelConfig(n_layers=1, n_heads=3, d_model=8, d_ffn=16)
 
     def test_schedule_presets_retained_sets(self):
-        assert RETAINED_LAYERS["vica3b"][1] == {0, 1, 14, 15, 18, 19, 21, 22, 23}
-        assert RETAINED_LAYERS["vica7b"][1] == {0, 1, 7, 8, 9, 10, 11, 14}
-        assert RETAINED_LAYERS["vica13b"][1] == {0, 6, 8, 9, 10, 13, 14, 16}
-        for name, (n_layers, retained) in RETAINED_LAYERS.items():
+        assert SPARSE_PRESETS["vica3b"][1] == {0, 1, 14, 15, 18, 19, 21, 22, 23}
+        assert SPARSE_PRESETS["vica7b"][1] == {0, 1, 7, 8, 9, 10, 11, 14}
+        assert SPARSE_PRESETS["vica13b"][1] == {0, 6, 8, 9, 10, 13, 14, 16}
+        # each row's backbone sets its depth
+        assert {name: row[0] for name, row in SPARSE_PRESETS.items()} == {
+            "vica3b": "llava3b", "vica7b": "llava7b", "vica13b": "llava13b",
+        }
+        for name, (backbone, retained, _) in SPARSE_PRESETS.items():
             sched = schedule_preset(name)
-            assert sched.n_layers == n_layers
+            assert sched.n_layers == MODEL_PRESETS[backbone].n_layers
             assert set(sched.frozen_vision_layers()) == retained
+            assert not sched.drop_events()
             assert all(
                 p.mode is PolicyMode.TEXT_ONLY
                 for l, p in enumerate(sched.layers)
                 if l not in retained
             )
+        assert [schedule_preset(name).n_layers for name in SPARSE_PRESETS] == [32, 32, 40]
 
     def test_pdrop_presets(self):
         sched = schedule_preset("vica7b+pdrop")
         assert sched.drop_events() == {1: 0.75, 7: 0.75, 10: 0.75}
-        assert PDROP_EVENTS["vica3b"] == {1: 0.75, 14: 0.75, 18: 0.75}
-        assert PDROP_EVENTS["vica13b"] == {6: 0.75, 9: 0.75, 13: 0.75}
+        assert SPARSE_PRESETS["vica7b"][2] == {1: 0.75, 7: 0.75, 10: 0.75}
+        assert SPARSE_PRESETS["vica3b"][2] == {1: 0.75, 14: 0.75, 18: 0.75}
+        assert SPARSE_PRESETS["vica13b"][2] == {6: 0.75, 9: 0.75, 13: 0.75}
         assert pdrop_baseline_events(32) == {8: 0.5, 16: 0.5, 24: 0.5}
         assert pdrop_baseline_events(40) == {10: 0.5, 20: 0.5, 30: 0.5}
+        for name, (backbone, _, events) in SPARSE_PRESETS.items():
+            sched = parse_schedule(name + "+pdrop", MODEL_PRESETS[backbone].n_layers)
+            assert sched.drop_events() == events
+            assert sched == schedule_preset(name + "+pdrop")
+        assert parse_schedule("baseline+pdrop", 40).drop_events() == pdrop_baseline_events(40)
+
+    def test_uniform_presets(self):
+        assert UNIFORM_PRESETS == {
+            "baseline": PolicyMode.BASELINE,
+            "freeze": PolicyMode.FREEZE_VIS,
+            "textonly": PolicyMode.TEXT_ONLY,
+        }
+        for name, mode in UNIFORM_PRESETS.items():
+            for depth in (1, 4, 40):
+                assert parse_schedule(name, depth) == PolicySchedule.uniform(depth, mode)
 
     def test_unknown_schedule_preset(self):
         with pytest.raises(ConfigError):
             schedule_preset("vica70b")
+        # only the sparse rows have a depth of their own
+        for name in ("baseline", "baseline+pdrop", "sparse:0", "vica7b+pdrop+pdrop"):
+            with pytest.raises(ConfigError, match="unknown schedule preset"):
+                schedule_preset(name)
+
+    @pytest.mark.parametrize("name, match", [
+        ("freeze+pdrop", "unknown schedule preset 'freeze\\+pdrop'"),
+        ("textonly+pdrop", "unknown schedule preset 'textonly\\+pdrop'"),
+        ("sparse:0,1+pdrop", "bad schedule 'sparse:0,1\\+pdrop'"),
+        ("vica70b", "unknown schedule preset 'vica70b'"),
+        ("vica7b+pdrop+pdrop", "unknown schedule preset 'vica7b\\+pdrop\\+pdrop'"),
+        ("+pdrop", "unknown schedule preset '\\+pdrop'"),
+        ("Baseline", "unknown schedule preset 'Baseline'"),
+    ])
+    def test_names_outside_the_table_are_refused(self, name, match):
+        for depth in (1, 32, 40):
+            with pytest.raises(ConfigError, match=match):
+                parse_schedule(name, depth)
+
+    @pytest.mark.parametrize("name", [
+        "sparse:1_0", "sparse: 1", "sparse:1 ", "sparse:0,0", "sparse:0,00", "sparse:+1",
+        "sparse:-1", "sparse:٣", "sparse:²", "sparse:", "sparse:0,", "sparse:x",
+    ])
+    def test_sparse_layers_are_distinct_ascii_digits(self, name):
+        # int() reads "1_0" as 10 and " 1" as 1; the list takes [0-9]+ items only
+        with pytest.raises(ConfigError, match="bad schedule"):
+            parse_schedule(name, 32)
+
+    def test_sparse_layer_list(self):
+        assert parse_schedule("sparse:3,0,10", 32) == PolicySchedule.sparse_cross(32, {0, 3, 10})
+        assert parse_schedule("sparse:07", 8).frozen_vision_layers() == [7]
+        with pytest.raises(ConfigError, match="outside 0..7"):
+            parse_schedule("sparse:0,8", 8)
+
+    def test_spans_check_names_the_depth(self):
+        with pytest.raises(ConfigError,
+                           match="schedule 'vica13b\\+pdrop' spans 40 layers, model has 32"):
+            parse_schedule("vica13b+pdrop", 32)
 
     def test_sparse_cross_validates_layers(self):
         with pytest.raises(ConfigError):
@@ -106,7 +167,9 @@ class TestConfigAndPresets:
 
     def test_path_parsing(self):
         assert parse_path("t2v_read@2", 4) == ("t2v_read", 2)
-        for bad in ("t2v_read", "t2v_read@9", "nonsense@0", "t2v_read@x"):
+        # "²" and "٣" are str.isdigit() digits; a layer is ASCII digits only
+        for bad in ("t2v_read", "t2v_read@9", "nonsense@0", "t2v_read@x", "t2v_read@²",
+                    "t2v_read@٣"):
             with pytest.raises(ConfigError):
                 parse_path(bad, 4)
 
