@@ -2,10 +2,11 @@
 
 Subcommands map onto the harness runners. Each subcommand's flags are the
 keys its mode reads (``ExperimentConfig.MODE_DEFAULTS``) plus ``--out``
-and ``--config``; a config file may set the same keys and no others.
-Flags override config-file values, which override per-mode defaults. Exit
-codes: 0 pass, 1 verification failure, 2 configuration error, 3 internal
-error (an unexpected exception; its traceback goes to stderr).
+and ``--config``; a config file may set the same keys and no others, and
+``harness._coerce`` reads a value alike from either. Flags override
+config-file values, which override per-mode defaults. Exit codes: 0 pass,
+1 verification failure, 2 configuration error, 3 internal error (an
+unexpected exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -36,29 +37,26 @@ RUNNERS = {
 }
 
 
-# each config key's (flag, help, argparse keywords)
+# each config key's flag and help; _coerce reads the flag's text
 FLAGS = {
-    "out_dir": ("--out", "output directory", {"metavar": "DIR"}),
-    "preset": ("--preset", "model geometry preset (llava3b/7b/13b)", {}),
-    "schedule": ("--schedule", "policy schedule name (see `vica presets`)", {}),
-    "n_layers": ("--layers", "transformer layers", {"type": int}),
-    "n_heads": ("--heads", "attention heads", {"type": int}),
-    "d_model": ("--d-model", "model width", {"type": int}),
-    "d_ffn": ("--d-ffn", "FFN width", {"type": int}),
-    "n_vision": ("--n", "vision tokens", {"type": int}),
-    "t_system": ("--t-system", "system text tokens", {"type": int}),
-    "t_question": ("--t-question", "question text tokens", {"type": int}),
-    "seed": ("--seed", "RNG seed", {"type": int}),
-    "batch": ("--batch", "seeded inputs per sweep", {"type": int}),
-    "paths": ("--paths", "comma-separated pathway kinds to sweep",
-              {"type": lambda s: _coerce("paths", s)}),
-    "reps": ("--reps", "timed repetitions", {"type": int}),
-    "warmup": ("--warmup", "untimed repetitions", {"type": int}),
-    "dtype": ("--dtype", "compute dtype", {"choices": ("float64", "float32")}),
-    "golden": ("--golden", "verify against the frozen reference numbers",
-               {"action": "store_true"}),
-    "self_test": ("--self-test", "corrupt one case to prove the check can fail",
-                  {"action": "store_true"}),
+    "out_dir": ("--out", "output directory"),
+    "preset": ("--preset", "model geometry preset (llava3b/7b/13b)"),
+    "schedule": ("--schedule", "policy schedule name (see `vica presets`)"),
+    "n_layers": ("--layers", "transformer layers"),
+    "n_heads": ("--heads", "attention heads"),
+    "d_model": ("--d-model", "model width"),
+    "d_ffn": ("--d-ffn", "FFN width"),
+    "n_vision": ("--n", "vision tokens"),
+    "t_system": ("--t-system", "system text tokens"),
+    "t_question": ("--t-question", "question text tokens"),
+    "seed": ("--seed", "RNG seed"),
+    "batch": ("--batch", "seeded inputs per sweep"),
+    "paths": ("--paths", "comma-separated pathway kinds to sweep"),
+    "reps": ("--reps", "timed repetitions"),
+    "warmup": ("--warmup", "untimed repetitions"),
+    "dtype": ("--dtype", "compute dtype (float64 or float32)"),
+    "golden": ("--golden", "verify against the frozen reference numbers"),
+    "self_test": ("--self-test", "corrupt one case to prove the check can fail"),
 }
 
 
@@ -79,8 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(mode, help=help_text, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", metavar="FILE", help="flat key=value config file")
         for key in ("out_dir", *ExperimentConfig.MODE_DEFAULTS[mode][-1]):
-            flag, key_help, kwargs = FLAGS[key]
-            p.add_argument(flag, dest=key, help=key_help, **kwargs)
+            flag, key_help = FLAGS[key]
+            # a bool key's flag takes no value
+            action = "store_true" if isinstance(getattr(ExperimentConfig, key), bool) else "store"
+            p.add_argument(flag, dest=key, help=key_help, action=action)
     sub.add_parser("presets", help="list model and schedule presets")
     return parser
 
@@ -102,19 +102,19 @@ def print_presets() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command is None:
+    flags = vars(build_parser().parse_args(argv))
+    mode, config = flags.pop("command"), flags.pop("config", None)
+    if mode is None:
         build_parser().print_help()
         return EXIT_CONFIG_ERROR
-    if args.command == "presets":
+    if mode == "presets":
         return print_presets()
     try:
-        config = getattr(args, "config", None)
-        values = parse_config(Path(config).read_text(), args.command) if config else {}
-        values.update((k, v) for k, v in vars(args).items() if k not in ("command", "config"))
-        values["mode"] = args.command
+        values = parse_config(Path(config).read_text(), mode) if config else {}
+        values.update((k, v if isinstance(v, bool) else _coerce(k, v)) for k, v in flags.items())
+        values["mode"] = mode
         cfg = ExperimentConfig(**values)
-        return RUNNERS[args.command](cfg)
+        return RUNNERS[mode](cfg)
     except (ConfigError, OSError) as exc:
         # an unreadable config or out dir is a setup problem, not a failed check
         print(f"config error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .attention import TokenLayout
-from .model import KV_MODES, MAC_OPS, PolicySchedule, mac_table, mac_total, vision_counts
+from .model import MAC_OPS, PolicySchedule, mac_table, mac_total, vision_counts
 
 
 @dataclass(frozen=True)
@@ -159,12 +159,12 @@ def resolved_vision_counts(schedule: PolicySchedule, ci: CostInputs) -> list[int
 
 
 def kv_cache_fraction(schedule: PolicySchedule, ci: CostInputs) -> float:
-    """Vision KV entries held by the schedule, over the baseline's n per layer."""
-    counts = resolved_vision_counts(schedule, ci)
+    """Vision KV rows of the ``paper`` rule, over the baseline's n per layer."""
+    table = _paper_table(schedule, ci)
     if ci.n == 0:
         return 0.0
-    held = sum(c for c, p in zip(counts, schedule.layers) if p.mode in KV_MODES)
-    return held / (schedule.n_layers * ci.n)
+    held = mac_total(table, ("vision_kv",)) // (2 * ci.d * ci.d)
+    return held / (ci.n_layers * ci.n)
 
 
 def schedule_vision_flops(schedule: PolicySchedule, ci: CostInputs) -> int:

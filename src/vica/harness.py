@@ -149,9 +149,11 @@ class ExperimentConfig:
                               f"{WRITE_PATH_KINDS}, at least one")
 
     def model_config(self) -> ModelConfig:
-        if self.preset is not None:
-            return MODEL_PRESETS[self.preset]
         geometry = tuple(getattr(self, k) for k in self.GEOMETRY)
+        if self.preset is not None:
+            if any(v is not None for v in geometry):
+                raise ConfigError(f"preset {self.preset} excludes n_layers/n_heads/d_model/d_ffn")
+            return MODEL_PRESETS[self.preset]
         if all(v is None for v in geometry):
             geometry = self.MODE_DEFAULTS[self.mode][0]
             if geometry is None:
@@ -194,10 +196,11 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 def _coerce(key: str, raw: str):
     t = _FIELD_TYPES[key]
     if t in ("int", "int | None"):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{key} expects an integer, got {raw!r}") from None
+        # ASCII digits, "-" kept for the bound checks; int() also takes "3_2" or "+3"
+        digits = raw.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ConfigError(f"{key} expects an integer, got {raw!r}")
+        return int(raw)
     if t == "bool":
         low = raw.lower()
         if low in ("true", "yes", "1", "on"):
@@ -622,21 +625,13 @@ def run_equivalence_cases(cfg: ExperimentConfig):
     Cases are independent and could be dispatched concurrently; results
     are consumed by a single collector either way.
     """
-    weights_cache = {}
     idx = 0
     corrupted = False
     for d in EQUIV_GRID["d"]:
         for layers in EQUIV_GRID["layers"]:
             for heads in EQUIV_GRID["heads"]:
-                key = (layers, d)
-                if key not in weights_cache:
-                    weights_cache[key] = init_model(
-                        ModelConfig(layers, 1, d, 2 * d, vocab=17, max_seq=32),
-                        cfg.seed,
-                    )
-                base_weights = weights_cache[key]
-                mc = ModelConfig(layers, heads, d, 2 * d, vocab=17, max_seq=32)
-                weights = replace(base_weights, config=mc)
+                weights = init_model(ModelConfig(layers, heads, d, 2 * d, vocab=17, max_seq=32),
+                                     cfg.seed)
                 for n in EQUIV_GRID["n"]:
                     for t in EQUIV_GRID["t"]:
                         for sched_name in EQUIV_GRID["schedules"]:

@@ -78,6 +78,11 @@ class TestConfigGrammar:
     def test_bad_types_rejected(self):
         with pytest.raises(ConfigError, match="integer"):
             parse_config("seed = eleven")
+        # an integer is ASCII digits with an optional "-": int() alone reads these
+        for line in ("n_vision = 1_6", "seed = +1", "seed = \u0661"):
+            with pytest.raises(ConfigError, match="expects an integer"):
+                parse_config(line)
+        assert parse_config("seed = -1\nn_vision = 016") == {"seed": -1, "n_vision": 16}
         with pytest.raises(ConfigError, match="true/false"):
             parse_config("golden = maybe")
 
@@ -603,6 +608,8 @@ class TestModeKeys:
         for mode, (*_, keys) in ExperimentConfig.MODE_DEFAULTS.items():
             dests = {a.dest for a in subparsers[mode]._actions} - {"help"}
             assert dests == {"config", "out_dir", *keys}
+            # argparse reads no value: the config file's reader does
+            assert all(a.type is None and a.choices is None for a in subparsers[mode]._actions)
 
     def test_manifest_holds_the_read_keys(self, tmp_path, monkeypatch):
         small = dict(harness.EQUIV_GRID, n=(0, 3), t=(1,), d=(8,), heads=(1,), layers=(1,))
@@ -646,6 +653,59 @@ class TestModeKeys:
         err = capsys.readouterr().err
         assert ("--golden needs a preset geometry" if golden else "partial geometry") in err
         assert not out.exists()
+
+
+class TestOneValueParser:
+    """A flag's text is read by the config file's value reader."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cost", "--layers", "3_2", "--heads", "4", "--d-model", "64", "--d-ffn", "128"],
+         "n_layers expects an integer, got '3_2'"),
+        (["cost", "--preset", "llava7b", "--n", "\u0661\u0666"],
+         "n_vision expects an integer, got '\u0661\u0666'"),
+        (["diagnose", "--seed", "0x10"], "seed expects an integer, got '0x10'"),
+        (["bench", "--dtype", "float16"], "dtype must be float64 or float32, got 'float16'"),
+        (["diagnose", "--seed", "-1"], "seed must be at least 0"),
+    ])
+    def test_bad_flag_value_exits_two(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ExperimentConfig.MODES)
+    def test_file_line_and_flag_read_alike(self, tmp_path, capsys, mode):
+        cfg, out = tmp_path / "exp.cfg", tmp_path / "out"
+        int_keys = [k for k in ExperimentConfig.MODE_DEFAULTS[mode][-1]
+                    if harness._FIELD_TYPES[k] in ("int", "int | None")]
+        assert int_keys
+        for key in int_keys:
+            for raw in ("3_2", "+3", "\u0663", "3.0", "0x10", ""):
+                cfg.write_text(f"{key} = {raw}\n")
+                for argv in (["--config", str(cfg)], [cli.FLAGS[key][0], raw]):
+                    code = main([mode, *TestModeKeys.BASE[mode], *argv, "--out", str(out)])
+                    assert code == EXIT_CONFIG_ERROR
+                    assert not out.exists()
+                file_err, flag_err = capsys.readouterr().err.splitlines()
+                message = f"config error: {key} expects an integer, got {raw!r}"
+                assert file_err == flag_err == message
+
+    @pytest.mark.parametrize("golden", [[], ["--golden"]])
+    @pytest.mark.parametrize("geometry", [
+        ["--layers", "4"],
+        ["--layers", "32", "--heads", "32", "--d-model", "4096", "--d-ffn", "11008"],
+    ])
+    def test_preset_excludes_geometry(self, tmp_path, capsys, golden, geometry):
+        # the report was the preset's while the manifest recorded the geometry
+        out = tmp_path / "out"
+        argv = ["cost", "--preset", "llava7b", *geometry, *golden, "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG_ERROR
+        assert "preset llava7b excludes n_layers/n_heads/d_model/d_ffn" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+        with pytest.raises(ConfigError, match="excludes"):
+            ExperimentConfig(preset="llava7b", d_ffn=11008).model_config()
 
 
 class TestCliPlumbing:
