@@ -103,15 +103,13 @@ def build_baseline_mask(layout: TokenLayout) -> np.ndarray:
     return bottom_right_mask(layout.total, layout.total)
 
 
-def build_cross_mask(layout: TokenLayout, include_vision: bool = True) -> np.ndarray:
+def build_cross_mask(layout: TokenLayout) -> np.ndarray:
     """Mask for text queries over [vision keys; text keys].
 
     Equals the last ``n_text`` rows of the baseline mask: every text row sees
-    the whole vision prefix plus the causal text prefix. With
-    ``include_vision=False`` the key set is text only (plain causal).
+    the whole vision prefix plus the causal text prefix.
     """
-    t = layout.n_text
-    return bottom_right_mask(t, layout.n_vision + t if include_vision else t)
+    return bottom_right_mask(layout.n_text, layout.total)
 
 
 def split_heads(x: np.ndarray, n_heads: int) -> list[np.ndarray]:

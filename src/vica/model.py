@@ -24,15 +24,13 @@ it is the text rows alone. No vision query ever sees a text key, so a
 joint ``BASELINE`` layer is one causal block over the [vision; text] rows
 with no prefix. A drop event is scored inside the call, from the last
 text row's attention over the keys of every entering vision row and the
-text keys, and only the kept vision rows get queries. The loop's vision
-source at a frozen layer is either the vision rows, which
-:func:`_vision_kv` projects at each layer, or the keys/values
-:func:`precompute_visual_kv` projected from them ahead of any text,
-gathered by the kept rows after a cut. Frozen rows never change, so both
-give the same bits: :func:`forward_vica_fast` runs drop schedules without
-ever materializing vision rows, at the price of projecting every row at
-every retaining layer. Everything computes in the dtype of the weights and
-inputs.
+text keys, and only the kept vision rows get queries. At a frozen layer
+:func:`_vision_kv` projects the vision rows entering it. Until the first
+cut those are all the input rows, so :func:`precompute_visual_kv` can
+project those layers ahead of any text, and :func:`forward_vica_fast`
+reads them; after a cut both paths project the kept rows. Frozen rows never
+change, so both give the same bits. Everything computes in the dtype of
+the weights and inputs.
 
 :func:`forward_baseline_masked_oracle` is the referee for all of this,
 ``BASELINE`` layers included. It shares only the norm, projections and FFN
@@ -333,7 +331,7 @@ class LayerTrace:
 
 @dataclass
 class ForwardResult:
-    vision_hidden: np.ndarray | None   # final vision rows (None on the fast path)
+    vision_hidden: np.ndarray          # final vision rows
     text_hidden: np.ndarray
     logits: np.ndarray                 # (n_text, vocab)
     trace: list[LayerTrace] | None
@@ -395,16 +393,12 @@ def _check_stream(cfg: ModelConfig, n: int, t: int) -> None:
         raise ConfigError(f"{n}+{t} tokens exceed max_seq {cfg.max_seq}")
 
 
-def _check_inputs(weights: Weights, vision_emb: np.ndarray | None, text_emb: np.ndarray,
-                  schedule: PolicySchedule, n_vision: int = 0) -> tuple[int, int]:
-    """Validate schedule depth, embedding shapes and stream length; return (n, t).
-
-    The fast path has no vision embeddings: it passes ``vision_emb=None`` and
-    the vision count of its precomputed KV as ``n_vision``.
-    """
+def _check_inputs(weights: Weights, vision_emb: np.ndarray, text_emb: np.ndarray,
+                  schedule: PolicySchedule) -> tuple[int, int]:
+    """Validate schedule depth, embedding shapes and stream length; return (n, t)."""
     cfg = weights.config
     _check_schedule(cfg, schedule)
-    n = n_vision if vision_emb is None else _check_rows("vision", vision_emb, cfg.d_model)
+    n = _check_rows("vision", vision_emb, cfg.d_model)
     t = _check_rows("text", text_emb, cfg.d_model)
     _check_stream(cfg, n, t)
     return n, t
@@ -531,27 +525,25 @@ def forward(
             f"layout {layout} does not match embeddings ({n0} vision, {t} text)"
         )
     return _prefill(
-        weights, schedule, text_emb, v_rows=np.array(vision_emb, copy=True),
+        weights, schedule, vision_counts(schedule, n0), text_emb, np.array(vision_emb, copy=True),
         counter=counter, trace=[] if record_trace else None,
     )
 
 
-def _prefill(weights: Weights, schedule: PolicySchedule, text_emb: np.ndarray, *,
-             v_rows: np.ndarray | None = None, kv: VisualKvSet | None = None,
+def _prefill(weights: Weights, schedule: PolicySchedule, counts: list[int],
+             text_emb: np.ndarray, v_rows: np.ndarray, *, kv: VisualKvSet | None = None,
              counter=None, trace: list[LayerTrace] | None = None) -> ForwardResult:
     """The layers of :func:`forward` and :func:`forward_vica_fast`, then the logits.
 
-    The vision source is the rows ``v_rows`` or a precomputed ``kv``, whose
-    entries are read as they are before the first cut and gathered by the
-    kept indices composed over every cut after it. ``BASELINE`` layers and
-    a ``trace`` need ``v_rows``. A ``BASELINE`` layer runs the [vision;
-    text] rows as one block and hands its output rows on as they are.
+    ``v_rows`` are the vision rows entering layer 0 (only read) and ``counts``
+    their :func:`vision_counts`. A frozen layer projects the keys/values of
+    the vision rows entering it, or reads the ``kv`` entry until the first
+    cut. A ``BASELINE`` layer runs the [vision; text] rows as one block and
+    hands its output rows on as they are.
     """
     cfg = weights.config
-    n0 = kv.n_vision if v_rows is None else len(v_rows)
-    counts = vision_counts(schedule, n0)
+    n0 = len(v_rows)
     t_rows = _embed_text(weights, np.asarray(text_emb), n0)
-    chain = None  # the fast path's kept indices into its KV; None before a cut
     joint = None  # the [vision; text] rows entering the layer, once built
     with count_macs(counter):
         for l, pol in enumerate(schedule.layers):
@@ -567,16 +559,16 @@ def _prefill(weights: Weights, schedule: PolicySchedule, text_emb: np.ndarray, *
                 add_macs(cfg.d_model * len(h) * (len(h) - 1))
                 v_rows, t_rows = joint[:m], joint[m:]
             else:
-                if pol.mode in KV_MODES and v_rows is None:
-                    k_vis, v_vis = kv.entries[l]
-                    vision_kv = (k_vis, v_vis) if chain is None else (k_vis[chain], v_vis[chain])
+                if pol.mode not in KV_MODES:
+                    vision_kv = None
+                elif kv is not None and len(v_rows) == n0:  # no cut yet
+                    vision_kv = kv.entries[l]
                 else:
-                    vision_kv = _vision_kv(v_rows, lw) if pol.mode in KV_MODES else None
+                    vision_kv = _vision_kv(v_rows, lw)
                 _, t_attn, t_ffn, kept = _layer(t_rows, lw, cfg.n_heads, m, vision_kv)
                 del vision_kv  # before the next layer projects its own
                 if kept is not None:
-                    chain = kept if chain is None else chain[kept]
-                    v_rows = None if v_rows is None else v_rows[kept]
+                    v_rows = v_rows[kept]
                 joint = None
                 if trace is not None:
                     h, h_attn, joint = (np.vstack([v_rows, r]) for r in (t_rows, t_attn, t_ffn))
@@ -665,10 +657,10 @@ def _oracle_layers(weights: Weights, h: np.ndarray, n: int, disabled: dict[int, 
 
 @dataclass(frozen=True)
 class VisualKvSet:
-    """Per-layer frozen vision keys/values; depends on vision inputs only."""
+    """A read-only copy of the frozen vision rows, and the keys/values of all
+    of them at frozen layers no cut precedes; depends on vision inputs only."""
 
-    n_vision: int
-    d_model: int
+    rows: np.ndarray
     entries: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     def layers(self) -> list[int]:
@@ -682,7 +674,8 @@ def precompute_visual_kv(
     *,
     counter=None,
 ) -> VisualKvSet:
-    """Project the frozen vision embeddings to KV at every retaining layer.
+    """Copy the frozen vision rows and project their KV at each retaining
+    layer no cut precedes (the rows a cut keeps depend on the text).
 
     Nothing here reads text, which is the whole point: these tensors can be
     built as soon as the image is projected, in parallel with prompt arrival.
@@ -690,12 +683,14 @@ def precompute_visual_kv(
     cfg = weights.config
     _check_schedule(cfg, schedule)
     n = _check_rows("vision", vision_emb, cfg.d_model)
+    rows = np.array(vision_emb, copy=True)
+    rows.flags.writeable = False
     with count_macs(counter):
         entries = {
-            l: _vision_kv(vision_emb, weights.layers[l])
-            for l in schedule.frozen_vision_layers()
+            l: _vision_kv(rows, weights.layers[l])
+            for l in _uncut_layers(schedule, vision_counts(schedule, n), n)
         }
-    return VisualKvSet(n, cfg.d_model, entries)
+    return VisualKvSet(rows, entries)
 
 
 def forward_vica_fast(
@@ -706,28 +701,27 @@ def forward_vica_fast(
     *,
     counter=None,
 ) -> ForwardResult:
-    """Text-only pipeline attending into precomputed vision KV.
+    """The engine's layer loop over the rows of ``kv``, reading its entries.
 
-    Vision rows never enter the hidden state: the text rows run the
-    engine's layer loop over the precomputed KV, gathered by the kept rows
-    once a drop event has cut them, so the logits and kept sets are the
-    engine's. The precompute cannot know which rows a later cut drops, so
-    it spends more MACs than the engine: every row at every retaining layer.
-    ``BASELINE`` layers update vision rows and are rejected.
+    The logits, kept sets and final vision rows are :func:`forward`'s: until
+    the first cut a frozen layer reads its precomputed keys/values, and after
+    it projects the kept rows as the engine does. ``kv`` must hold each
+    frozen layer no cut precedes and no layer the schedule does not retain,
+    so one built without drops serves the schedule with them. ``BASELINE``
+    layers update vision rows and are rejected.
     """
-    cfg = weights.config
-    _check_inputs(weights, None, text_emb, schedule, n_vision=kv.n_vision)
+    n, _ = _check_inputs(weights, kv.rows, text_emb, schedule)
     if any(p.mode is PolicyMode.BASELINE for p in schedule.layers):
         raise ConfigError("fast path cannot update vision rows (baseline layers)")
-    retained = schedule.frozen_vision_layers()
-    if kv.layers() != retained:
-        raise ConfigError(f"kv covers layers {kv.layers()}, schedule retains {retained}")
-    if kv.d_model != cfg.d_model:
-        raise ConfigError(f"kv width {kv.d_model} does not match model {cfg.d_model}")
+    counts = vision_counts(schedule, n)
+    needed, retained = _uncut_layers(schedule, counts, n), schedule.frozen_vision_layers()
+    if not set(needed) <= set(kv.entries) <= set(retained):
+        raise ConfigError(f"kv covers layers {kv.layers()}; the schedule needs {needed} "
+                          f"and retains {retained}")
     for l, (k_vis, v_vis) in kv.entries.items():
-        if k_vis.shape != (kv.n_vision, cfg.d_model) or v_vis.shape != k_vis.shape:
+        if k_vis.shape != kv.rows.shape or v_vis.shape != k_vis.shape:
             raise ConfigError(f"kv entry at layer {l} has shape {k_vis.shape}")
-    return _prefill(weights, schedule, text_emb, kv=kv, counter=counter)
+    return _prefill(weights, schedule, counts, text_emb, kv.rows, kv=kv, counter=counter)
 
 
 # ---------------------------------------------------------------------------
@@ -742,6 +736,12 @@ def vision_counts(schedule: PolicySchedule, n_vision: int) -> list[int]:
     return resolve_schedule(events, n_vision, schedule.n_layers)
 
 
+def _uncut_layers(schedule: PolicySchedule, counts: list[int], n: int) -> list[int]:
+    """The frozen layers all ``n`` vision rows enter: by the schedule's
+    :func:`vision_counts`, no cut comes before them."""
+    return [l for l in schedule.frozen_vision_layers() if l == 0 or counts[l - 1] == n]
+
+
 #: The ops of a layer, each a column of :func:`mac_table`. ``proj`` holds the
 #: text rows' q/k/v/o and the q/o of the vision rows a ``BASELINE`` layer
 #: updates; ``v2t_unclaimed`` is the vision-query by text-key block.
@@ -753,14 +753,13 @@ def mac_table(schedule: PolicySchedule, d: int, m: int, layout: TokenLayout,
               rule: str) -> list[dict[str, int]]:
     """MACs of each op of :data:`MAC_OPS` at each layer, from shapes only.
 
-    ``engine`` charges what :func:`forward` runs: causal text attention
-    (dense at ``BASELINE`` layers, whose masked part :func:`_prefill`
-    credits), every text row reading vision, the keys/values of the vision
-    rows entering a layer, and a cut's scoring of the last text row. ``fast``
-    charges the same, but keys/values of every input row, as
-    :func:`precompute_visual_kv` projects them. ``paper`` is the cost model:
-    dense attention, question rows reading vision (all text rows at
-    ``BASELINE`` layers), keys/values of the kept rows, free drops.
+    ``engine`` charges what :func:`forward` and :func:`forward_vica_fast`
+    run: causal text attention (dense at ``BASELINE`` layers, whose masked
+    part :func:`_prefill` credits), every text row reading vision, the
+    keys/values of the vision rows entering a layer, and a cut's scoring of
+    the last text row. ``paper`` is the cost model: dense attention,
+    question rows reading vision (all text rows at ``BASELINE`` layers),
+    keys/values of the kept rows, free drops.
     """
     paper = rule == "paper"
     n0, t = layout.n_vision, layout.n_text
@@ -770,7 +769,7 @@ def mac_table(schedule: PolicySchedule, d: int, m: int, layout: TokenLayout,
         reads, joint = pol.mode in KV_MODES, pol.mode is PolicyMode.BASELINE
         v_rows = n if joint else 0  # vision rows the layer updates
         readers = layout.t_question if paper and not joint else t
-        kv_rows = {"engine": n_in, "fast": n0, "paper": n}[rule] if reads else 0
+        kv_rows = {"engine": n_in, "paper": n}[rule] if reads else 0
         table.append({
             "proj": 4 * t * d * d + 2 * v_rows * d * d,
             "vision_kv": 2 * kv_rows * d * d,
@@ -801,9 +800,10 @@ def count_forward_macs(
 
     ``path='engine'`` mirrors :func:`forward`; ``path='fast'`` mirrors
     :func:`precompute_visual_kv` + :func:`forward_vica_fast` and rejects
-    ``BASELINE`` layers as they do. The count is the path's :func:`mac_table`
-    plus the logits (``include_kv_precompute=False`` leaves out the
-    precompute); the test suite checks it against the live counters.
+    ``BASELINE`` layers as they do. Both run the ``engine`` rule of
+    :func:`mac_table` plus the logits; ``include_kv_precompute=False``
+    leaves out the precomputed layers' ``vision_kv``. The test suite checks
+    the count against the live counters.
     """
     if path not in ("engine", "fast"):
         raise ConfigError(f"unknown path {path!r}")
@@ -811,6 +811,9 @@ def count_forward_macs(
     _check_stream(config, layout.n_vision, layout.n_text)
     if path == "fast" and any(p.mode is PolicyMode.BASELINE for p in schedule.layers):
         raise ConfigError("fast path cannot update vision rows (baseline layers)")
-    table = mac_table(schedule, config.d_model, config.d_ffn, layout, path)
-    skip = mac_total(table, ("vision_kv",)) if path == "fast" and not include_kv_precompute else 0
-    return mac_total(table) - skip + layout.n_text * config.d_model * config.vocab
+    table = mac_table(schedule, config.d_model, config.d_ffn, layout, "engine")
+    if path == "fast" and not include_kv_precompute:
+        n = layout.n_vision
+        for l in _uncut_layers(schedule, vision_counts(schedule, n), n):
+            table[l]["vision_kv"] = 0
+    return mac_total(table) + layout.n_text * config.d_model * config.vocab

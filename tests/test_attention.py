@@ -180,8 +180,8 @@ class TestCrossMask:
 
     def test_no_vision_equals_causal(self):
         layout = TokenLayout(0, 2, 2)
-        with_vision = build_cross_mask(layout, include_vision=True)
-        text_only = build_cross_mask(layout, include_vision=False)
+        with_vision = build_cross_mask(layout)
+        text_only = bottom_right_mask(4, 4)
         causal = np.tril(np.ones((4, 4), dtype=bool))
         assert np.array_equal(with_vision, causal)
         assert np.array_equal(text_only, causal)

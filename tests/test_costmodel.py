@@ -168,7 +168,7 @@ class TestExactIntegers:
             "vica7b engine": 2_153_906_176,
             "vica7b fast": 2_153_906_176,
             "vica7b+pdrop engine": 1_895_554_816,
-            "vica7b+pdrop fast": 2_100_813_568,
+            "vica7b+pdrop fast": 1_895_554_816,
         },
     }
 

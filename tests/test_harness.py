@@ -372,7 +372,7 @@ class TestCliBench:
         assert code == EXIT_OK
         report = json.loads((tmp_path / "bench.json").read_text())
         assert report["macs"]["vica"] < report["macs"]["baseline"]
-        assert report["checks"]["mac_ratio_within_5pct"] is True
+        assert report["checks"]["macs_equal_table"] is True
         assert report["timing"]["reps"] == 1
         timing = report["timing"]
         assert len(timing["textonly_s"]) == 1
@@ -430,26 +430,44 @@ class TestCliBench:
         code = main(["bench", *args.split(), "--reps", "1", "--warmup", "0",
                      "--out", str(tmp_path)])
         assert code == EXIT_OK
-        assert "rel err 0.00%" in capsys.readouterr().out
-        macs = json.loads((tmp_path / "bench.json").read_text())["macs"]
-        assert macs["ratio"] == macs["table_ratio"] and macs["ratio_rel_err"] == 0.0
+        assert "FAIL" not in capsys.readouterr().out
+        report = json.loads((tmp_path / "bench.json").read_text())
+        assert report["checks"]["macs_equal_table"] is True
+        assert not {"table_ratio", "ratio_rel_err"} & set(report["macs"])
 
-    def test_miscount_fails(self, tmp_path, capsys, monkeypatch):
-        real = harness.forward_vica_fast
+    def _miscounted_run(self, tmp_path, capsys, monkeypatch, name):
+        """Run the smoke bench with ``harness.<name>`` counting 1 MAC too many;
+        return the FAIL lines and the checks."""
+        real = getattr(harness, name)
 
-        def miscounting(weights, kv, text_emb, schedule, *, counter=None):
-            out = real(weights, kv, text_emb, schedule, counter=counter)
+        def miscounting(*args, counter=None, **kwargs):
+            out = real(*args, counter=counter, **kwargs)
             if counter is not None:
-                counter.add(counter.macs // 10)  # 10% extra MACs
+                counter.add(1)
             return out
 
-        monkeypatch.setattr(harness, "forward_vica_fast", miscounting)
+        monkeypatch.setattr(harness, name, miscounting)
         code = main(self.SMOKE + ["--out", str(tmp_path)])
         assert code == EXIT_VERIFY_FAILED
-        assert "FAIL" in capsys.readouterr().out
-        report = json.loads((tmp_path / "bench.json").read_text())
-        assert report["macs"]["ratio_rel_err"] > 0.05
-        assert report["checks"]["mac_ratio_within_5pct"] is False
+        fails = [l for l in capsys.readouterr().out.splitlines() if l.startswith("FAIL")]
+        return fails, json.loads((tmp_path / "bench.json").read_text())["checks"]
+
+    def test_miscount_fails(self, tmp_path, capsys, monkeypatch):
+        # the fast path runs both the vica prefill and text-only
+        fails, checks = self._miscounted_run(tmp_path, capsys, monkeypatch, "forward_vica_fast")
+        cfg = self._config()
+        vica = count_forward_macs(cfg.model_config(), cfg.layout(), cfg.policy_schedule(8), "fast")
+        assert fails == [
+            f"FAIL vica counted {vica + 1:,} MACs, the table {vica:,}",
+            f"FAIL textonly counted {self._textonly_macs() + 1:,} MACs, "
+            f"the table {self._textonly_macs():,}",
+        ]
+        assert checks["macs_equal_table"] is False
+
+    def test_baseline_miscount_fails(self, tmp_path, capsys, monkeypatch):
+        fails, checks = self._miscounted_run(tmp_path, capsys, monkeypatch, "forward")
+        assert len(fails) == 1 and fails[0].startswith("FAIL baseline counted ")
+        assert checks["macs_equal_table"] is False
 
     @pytest.mark.parametrize("geometry", [
         "--layers 8 --heads 8 --d-model 64 --d-ffn 172 --n 144 --schedule sparse:0,3",
@@ -510,14 +528,16 @@ class TestCliBench:
                      "--reps", "1", "--warmup", "0", "--out", str(tmp_path)])
         assert code == EXIT_OK
         report = json.loads((tmp_path / "bench.json").read_text())
-        assert report["checks"]["mac_ratio_within_5pct"] is True
-        # the paper's cost of the schedule; the precompute projects the keys/
-        # values of the rows its cuts drop at every retained layer, which is
-        # named as the fast path's excess over it
+        assert report["checks"]["macs_equal_table"] is True
+        # the paper's cost of the schedule; each cut layer projects the keys/
+        # values of the rows it then drops, which is named as the excess
+        # over it
         ci = CostInputs(32, 64, 172, n=144)
         sched = schedule_preset("vica7b+pdrop")
         counts = resolved_vision_counts(sched, ci)
-        dropped_kv = sum(2 * 2 * (144 - counts[l]) * 64 * 64 for l in sched.frozen_vision_layers())
+        entering = [144, *counts]
+        dropped_kv = sum(2 * 2 * (entering[l] - counts[l]) * 64 * 64
+                         for l in sched.frozen_vision_layers())
         model = schedule_vision_flops(sched, ci) + text_only_flops(ci)
         assert dropped_kv > 0
         assert report["macs"]["costmodel_ratio"] == model / total_flops(ci)

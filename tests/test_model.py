@@ -23,6 +23,7 @@ from vica.model import (
     ModelConfig,
     PolicyMode,
     PolicySchedule,
+    VisualKvSet,
     count_forward_macs,
     forward,
     forward_baseline_masked_oracle,
@@ -428,7 +429,7 @@ class TestDecoupledKv:
     def test_no_vision_gives_empty_rows(self):
         w = init_model(TOY, seed=0)
         kv = precompute_visual_kv(w, np.empty((0, 8)), PolicySchedule.sparse_cross(3, {0, 2}))
-        assert kv.n_vision == 0
+        assert kv.rows.shape == (0, 8)
         assert kv.layers() == [0, 2]
         assert all(k.shape == (0, 8) for k, _ in kv.entries.values())
 
@@ -500,20 +501,73 @@ class TestDecoupledKv:
         ("FVFV", {0: 0.5, 2: 0.5}, 0),
     ]
 
+    DROPS_CFG = ModelConfig(n_layers=4, n_heads=2, d_model=8, d_ffn=12, vocab=13, max_seq=64)
+
     @pytest.mark.parametrize("letters,drops,n", FAST_DROPS)
     def test_fast_path_drops_match_engine(self, letters, drops, n):
-        cfg = ModelConfig(n_layers=4, n_heads=2, d_model=8, d_ffn=12, vocab=13, max_seq=64)
         sched = mixed_schedule(letters, drops)
         for seed in range(3):
-            w = init_model(cfg, seed=seed)
+            w = init_model(self.DROPS_CFG, seed=seed)
             ve, te = toy_inputs(30 + seed, n=n, t=3 + seed)
             engine = forward(w, ve, te, sched, record_trace=True)
             fast = forward_vica_fast(w, precompute_visual_kv(w, ve, sched), te, sched)
-            # the gathered precomputed KV is the engine's KV: identical bits
+            # the precomputed KV, and after a cut the kept rows' own, is the
+            # engine's KV: identical bits
             np.testing.assert_array_equal(fast.logits, engine.logits)
-            assert fast.vision_hidden is None
+            np.testing.assert_array_equal(fast.vision_hidden, engine.vision_hidden, strict=True)
         if n:
             assert engine.trace[-1].n_vision_out < n
+
+    @pytest.mark.parametrize("letters,drops,n", FAST_DROPS)
+    def test_fast_path_drops_count_the_engine_macs(self, letters, drops, n):
+        sched = mixed_schedule(letters, drops)
+        w = init_model(self.DROPS_CFG, seed=0)
+        ve, te = toy_inputs(40, n=n, t=4)
+        pre, prefill, engine = MacCounter(), MacCounter(), MacCounter()
+        forward_vica_fast(w, precompute_visual_kv(w, ve, sched, counter=pre), te, sched,
+                          counter=prefill)
+        forward(w, ve, te, sched, counter=engine)
+        layout = TokenLayout(n, 0, 4)
+        assert pre.macs + prefill.macs == engine.macs
+        assert engine.macs == count_forward_macs(self.DROPS_CFG, layout, sched, "fast")
+        assert engine.macs == count_forward_macs(self.DROPS_CFG, layout, sched, "engine")
+        assert prefill.macs == count_forward_macs(self.DROPS_CFG, layout, sched, "fast",
+                                                  include_kv_precompute=False)
+
+    @pytest.mark.parametrize("letters,drops,n", FAST_DROPS)
+    def test_drop_free_kv_serves_the_drop_schedule(self, letters, drops, n):
+        sched = mixed_schedule(letters, drops)
+        for seed in range(3):
+            w = init_model(self.DROPS_CFG, seed=seed)
+            ve, te = toy_inputs(30 + seed, n=n, t=3 + seed)
+            kv = precompute_visual_kv(w, ve, mixed_schedule(letters))
+            np.testing.assert_array_equal(forward_vica_fast(w, kv, te, sched).logits,
+                                          forward(w, ve, te, sched).logits)
+
+    def test_fast_path_rejects_kv_outside_its_layers(self):
+        w = init_model(self.DROPS_CFG, seed=0)
+        ve, te = toy_inputs(41, n=8, t=3)
+        sched = mixed_schedule("VTVF", {2: 0.5})
+        kv = precompute_visual_kv(w, ve, mixed_schedule("VTVF"))
+        assert kv.layers() == [0, 2, 3]
+        forward_vica_fast(w, kv, te, sched)  # layer 3 comes after the cut, unread
+        lacking = VisualKvSet(kv.rows, {0: kv.entries[0], 3: kv.entries[3]})
+        extra = VisualKvSet(kv.rows, {**kv.entries, 1: kv.entries[0]})
+        for bad in (lacking, extra):
+            with pytest.raises(ConfigError, match="schedule needs"):
+                forward_vica_fast(w, bad, te, sched)
+
+    def test_deferred_drop_warns_once_per_fast_call(self, caplog):
+        w = init_model(self.DROPS_CFG, seed=0)
+        ve, te = toy_inputs(42, n=7, t=3)
+        sched = mixed_schedule("VTTV", {1: 0.5})
+        kv = precompute_visual_kv(w, ve, sched)
+        with caplog.at_level("WARNING", logger="vica.pruning"):
+            caplog.clear()
+            for _ in range(2):
+                forward_vica_fast(w, kv, te, sched)
+        assert [r.message for r in caplog.records] == [
+            "drop event at text-only layer 1 deferred to layer 3"] * 2
 
     def test_fast_path_checks_text_shape(self):
         w = init_model(TOY, seed=0)
